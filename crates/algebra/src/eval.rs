@@ -9,13 +9,16 @@
 //! Instead they evaluate on `Batch`es over the columnar form of
 //! `maybms-core`: one typed [`ColumnVec`] per attribute plus a dense
 //! [`DescId`] column, with an optional **selection vector** of row ids on
-//! top. Strings are dictionary codes into a run-global
-//! [`StrPool`] and descriptors are handles into a run-global
-//! [`DescriptorPool`] — both owned by the [`EvalCtx`] — so equality anywhere
-//! in the executor is an integer compare. Concretely:
+//! top. Strings are dictionary codes into the world set's persistent
+//! [`StrPool`] and descriptors are handles into its persistent
+//! [`DescriptorPool`] — both borrowed by the [`EvalCtx`] — so equality
+//! anywhere in the executor is an integer compare. Descriptors a run mints
+//! (join conjunctions, `repair-key` assignments) go into a per-run overlay
+//! on the pool ([`WorldSet::with_run_overlay`]) that is discarded when the
+//! run ends, and no operator interns strings. Concretely:
 //!
-//! * **Scan** borrows the pre-converted columnar relation (base relations
-//!   are converted once per run, up front) — no per-operator copies.
+//! * **Scan** borrows the world set's stored columns — no conversion and no
+//!   per-operator copies.
 //! * **Select** is a predicate *sweep*: the bound predicate is evaluated
 //!   cell-wise over the input's rows and emits a selection vector. No row
 //!   or column is materialized.
@@ -66,11 +69,10 @@
 //! derived. Extension operators (`repair-key`, `conf`, …) speak the
 //! columnar ABI too: [`crate::ext::ExtOperator::eval`] receives and returns
 //! [`ColumnarURelation`]s whose descriptors/strings live in the context's
-//! pools. Only the final result is converted back to a row-oriented
+//! pools. Only the final result is converted to a row-oriented
 //! [`URelation`], at the boundary of [`run`].
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{BuildHasher, Hasher};
 use std::sync::Arc;
 
@@ -81,7 +83,7 @@ use maybms_core::obs::{metrics, ObsCounters, QueryTrace, SpanId, Tracer};
 use maybms_core::parallel::{chunk_ranges, run_tasks};
 use maybms_core::{
     ComponentSet, ConfStats, DescId, DescriptorPool, FxBuildHasher, FxHashMap, MayError, ParCfg,
-    ParStats, PoolStats, Schema, URelation, WorldSet,
+    ParStats, PoolStats, Relations, RunParts, Schema, URelation, WorldSet,
 };
 
 use crate::plan::Plan;
@@ -134,21 +136,24 @@ impl ExecCfg {
     }
 }
 
-/// Evaluation context handed to operators: the base relations (read-only),
-/// the component set (mutable, so extension operators like `repair-key` can
-/// mint new components), and the run's interning pools.
+/// Evaluation context handed to operators: the stored relations
+/// (read-only), the component set (mutable, so extension operators like
+/// `repair-key` can mint new components), and the world set's interning
+/// pools.
 pub struct EvalCtx<'a> {
-    /// The base u-relations, by name.
-    pub relations: &'a BTreeMap<String, URelation>,
+    /// The stored relations, by name.
+    pub relations: &'a Relations,
     /// The components of the world set.
     pub components: &'a mut ComponentSet,
-    /// The run's descriptor interner. Every [`DescId`] flowing through the
-    /// executor — including those inside extension-operator inputs and
-    /// results — resolves against this pool.
-    pub pool: DescriptorPool,
-    /// The run's string dictionary. Every string cell of every columnar
-    /// relation in the run is a code into this pool.
-    pub strings: StrPool,
+    /// The world set's descriptor pool, with the run's overlay open. Every
+    /// [`DescId`] flowing through the executor — including those inside
+    /// extension-operator inputs and results — resolves against it; what
+    /// the run interns or conjoins is discarded when the run ends.
+    pub pool: &'a mut DescriptorPool,
+    /// The world set's string dictionary. Every string cell of every
+    /// columnar relation in the run is a code into it; operators read it
+    /// and never intern.
+    pub strings: &'a StrPool,
     /// The run's parallelism configuration. Operators (including extension
     /// operators) consult [`ParCfg::workers_for`] before fanning a stage out
     /// over morsels; results are deterministic for every thread count.
@@ -183,39 +188,14 @@ pub struct EvalCtx<'a> {
 }
 
 impl<'a> EvalCtx<'a> {
-    /// Build a fresh context (with an empty extension-operator memo and
-    /// fresh interning pools). The thread budget and execution knobs come
-    /// from the environment ([`ExecCfg::from_env`]); use
-    /// [`EvalCtx::with_par`] or [`EvalCtx::with_exec`] to pass them
-    /// explicitly.
-    pub fn new(
-        relations: &'a BTreeMap<String, URelation>,
-        components: &'a mut ComponentSet,
-    ) -> Self {
-        EvalCtx::with_exec(relations, components, ExecCfg::from_env())
-    }
-
-    /// [`EvalCtx::new`] with an explicit parallelism configuration (the
-    /// other execution knobs come from the environment).
-    pub fn with_par(
-        relations: &'a BTreeMap<String, URelation>,
-        components: &'a mut ComponentSet,
-        par: ParCfg,
-    ) -> Self {
-        EvalCtx::with_exec(relations, components, ExecCfg::with_par(par))
-    }
-
-    /// [`EvalCtx::new`] with an explicit execution configuration.
-    pub fn with_exec(
-        relations: &'a BTreeMap<String, URelation>,
-        components: &'a mut ComponentSet,
-        cfg: ExecCfg,
-    ) -> Self {
+    /// A fresh context over one run's borrows of a world set (with an empty
+    /// extension-operator memo).
+    fn new(parts: RunParts<'a>, cfg: &ExecCfg) -> Self {
         EvalCtx {
-            relations,
-            components,
-            pool: DescriptorPool::new(),
-            strings: StrPool::new(),
+            relations: parts.relations,
+            components: parts.components,
+            pool: parts.pool,
+            strings: parts.strings,
             par: cfg.par,
             par_stats: ParStats::default(),
             conf_stats: ConfStats::default(),
@@ -272,13 +252,14 @@ impl<'a> EvalCtx<'a> {
 pub struct ExecStats {
     /// Wall-clock time of the whole run, in nanoseconds.
     pub wall_nanos: u64,
-    /// Distinct descriptors in the run's pool (occupancy, ≥ 1).
+    /// Descriptors the run minted into its pool overlay (join
+    /// conjunctions, `repair-key` assignments).
     pub descriptors: usize,
-    /// Pool entries that spilled past the inline-term capacity.
+    /// Of those, entries that spilled past the inline-term capacity.
     pub descriptors_spilled: usize,
-    /// Intern/conjoin counters of the descriptor pool.
+    /// Intern/conjoin counters the run added to the descriptor pool.
     pub pool: PoolStats,
-    /// Distinct strings in the run's dictionary.
+    /// Distinct strings in the world set's dictionary.
     pub strings: usize,
     /// Rows in the final result.
     pub output_rows: usize,
@@ -441,7 +422,7 @@ impl<'s> LazyCol<'s> {
 }
 
 /// The executor's unit of data flow: columnar storage (borrowed from the
-/// per-run scan conversions until an operator materializes new columns),
+/// stored relations until an operator materializes new columns),
 /// per-column rowid indirections deferred by joins, plus an optional
 /// selection vector restricting which virtual rows are live.
 struct Batch<'s> {
@@ -457,7 +438,7 @@ struct Batch<'s> {
 }
 
 impl<'s> Batch<'s> {
-    /// Borrow a converted base relation (the Scan fast path).
+    /// Borrow a stored relation's columns (the Scan path).
     fn from_ref(rel: &'s ColumnarURelation) -> Batch<'s> {
         Batch {
             schema: Cow::Borrowed(rel.schema()),
@@ -648,7 +629,7 @@ impl<'s> Batch<'s> {
     }
 
     /// Materialize as a standalone columnar relation (descriptors and string
-    /// codes stay relative to the run's pools).
+    /// codes stay relative to the context's pools).
     fn into_columnar(self) -> ColumnarURelation {
         let (schema, cols, descs) = self.into_dense_parts();
         ColumnarURelation::from_parts(schema.into_owned(), cols, descs)
@@ -762,84 +743,36 @@ fn run_impl(
     traced: bool,
 ) -> Result<(URelation, ExecStats, Option<QueryTrace>), MayError> {
     let started = std::time::Instant::now();
-    let WorldSet {
-        components,
-        relations,
-    } = ws;
-    let mut ctx = EvalCtx::with_exec(relations, components, *cfg);
-    if traced {
-        ctx.tracer = Tracer::enabled();
-    }
-    // Convert every scanned base relation to columnar form once, up front.
-    // The conversions live outside the context so batches can borrow them
-    // while operators keep mutable access to the pools.
-    let convert_started = ctx.tracer.now();
-    let mut names = BTreeSet::new();
-    collect_scans(plan, &mut names);
-    let mut scans: BTreeMap<String, ColumnarURelation> = BTreeMap::new();
-    let mut converted_rows = 0u64;
-    for name in names {
-        let rel = ctx
-            .relations
-            .get(name)
-            .ok_or_else(|| MayError::UnknownRelation(name.to_string()))?;
-        converted_rows += rel.len() as u64;
-        scans.insert(
-            name.to_string(),
-            ColumnarURelation::from_urelation_with(
-                rel,
-                &mut ctx.pool,
-                &mut ctx.strings,
-                &ctx.par,
-                &mut ctx.par_stats,
-            ),
-        );
-    }
-    ctx.tracer
-        .event("scan-convert", convert_started, converted_rows);
-    let batch = eval_batch(plan, &scans, &mut ctx)?;
-    let result = batch.into_columnar().to_urelation(&ctx.pool, &ctx.strings);
-    let stats = ExecStats {
-        wall_nanos: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
-        descriptors: ctx.pool.len(),
-        descriptors_spilled: ctx.pool.spilled(),
-        pool: ctx.pool.stats(),
-        strings: ctx.strings.len(),
-        output_rows: result.len(),
-        dedups_elided: ctx.dedups_elided,
-        threads: ctx.par.threads,
-        par: ctx.par_stats,
-        conf: ctx.conf_stats,
-        sip: ctx.sip_stats,
-    };
-    stats.publish();
-    let trace = traced.then(|| {
-        let threads = ctx.par.threads;
-        std::mem::take(&mut ctx.tracer).finish(threads)
-    });
-    Ok((result, stats, trace))
-}
-
-/// Collect the names of every base relation a plan (including extension
-/// subtrees) scans.
-fn collect_scans<'p>(plan: &'p Plan, names: &mut BTreeSet<&'p str>) {
-    match plan {
-        Plan::Scan(name) => {
-            names.insert(name);
+    ws.with_run_overlay(|parts| {
+        let relations = parts.relations;
+        let mut ctx = EvalCtx::new(parts, cfg);
+        let (base_len, base_spilled, base_stats) =
+            (ctx.pool.len(), ctx.pool.spilled(), ctx.pool.stats());
+        if traced {
+            ctx.tracer = Tracer::enabled();
         }
-        Plan::Select { input, .. } | Plan::Project { input, .. } | Plan::Rename { input, .. } => {
-            collect_scans(input, names)
-        }
-        Plan::NaturalJoin { left, right } | Plan::Union { left, right } => {
-            collect_scans(left, names);
-            collect_scans(right, names);
-        }
-        Plan::Ext(op) => {
-            for input in op.inputs() {
-                collect_scans(input, names);
-            }
-        }
-    }
+        let batch = eval_batch(plan, relations, &mut ctx)?;
+        let result = batch.into_columnar().to_urelation(ctx.pool, ctx.strings);
+        let stats = ExecStats {
+            wall_nanos: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
+            descriptors: ctx.pool.len() - base_len,
+            descriptors_spilled: ctx.pool.spilled() - base_spilled,
+            pool: ctx.pool.stats().since(&base_stats),
+            strings: ctx.strings.len(),
+            output_rows: result.len(),
+            dedups_elided: ctx.dedups_elided,
+            threads: ctx.par.threads,
+            par: ctx.par_stats,
+            conf: ctx.conf_stats,
+            sip: ctx.sip_stats,
+        };
+        stats.publish();
+        let trace = traced.then(|| {
+            let threads = ctx.par.threads;
+            std::mem::take(&mut ctx.tracer).finish(threads)
+        });
+        Ok((result, stats, trace))
+    })
 }
 
 /// Build a Bloom filter over `build`'s key cells and register it against
@@ -939,11 +872,11 @@ fn apply_sip(plan: &Plan, b: &mut Batch<'_>, ctx: &mut EvalCtx<'_>) {
 /// a traced span's `rows_out` reflects the pruning).
 fn eval_batch<'s>(
     plan: &Plan,
-    scans: &'s BTreeMap<String, ColumnarURelation>,
+    rels: &'s Relations,
     ctx: &mut EvalCtx<'_>,
 ) -> Result<Batch<'s>, MayError> {
     if !ctx.tracer.is_enabled() {
-        let mut b = eval_batch_inner(plan, scans, ctx)?;
+        let mut b = eval_batch_inner(plan, rels, ctx)?;
         apply_sip(plan, &mut b, ctx);
         return Ok(b);
     }
@@ -955,7 +888,7 @@ fn eval_batch<'s>(
         }
     }
     let span = ctx.span_enter(label);
-    let mut result = eval_batch_inner(plan, scans, ctx);
+    let mut result = eval_batch_inner(plan, rels, ctx);
     if let Ok(b) = result.as_mut() {
         apply_sip(plan, b, ctx);
     }
@@ -965,29 +898,29 @@ fn eval_batch<'s>(
 }
 
 /// The batch evaluator proper. Returned batches may borrow columns from
-/// `scans` (lifetime `'s`), never from `ctx` itself — `ctx` stays freely
-/// borrowable for the next operator. See the module docs for why each
-/// operator is sound on the compact representation.
+/// the stored relations `rels` (lifetime `'s`), never from `ctx` itself —
+/// `ctx` stays freely borrowable for the next operator. See the module docs
+/// for why each operator is sound on the compact representation.
 fn eval_batch_inner<'s>(
     plan: &Plan,
-    scans: &'s BTreeMap<String, ColumnarURelation>,
+    rels: &'s Relations,
     ctx: &mut EvalCtx<'_>,
 ) -> Result<Batch<'s>, MayError> {
     match plan {
         Plan::Scan(name) => {
-            let rel = scans
+            let rel = rels
                 .get(name)
                 .ok_or_else(|| MayError::UnknownRelation(name.clone()))?;
-            Ok(Batch::from_ref(rel))
+            Ok(Batch::from_ref(rel.columnar()))
         }
         Plan::Select { input, predicate } => {
-            let mut b = eval_batch(input, scans, ctx)?;
+            let mut b = eval_batch(input, rels, ctx)?;
             // Bound once per relation; the sweep below reads cells in place
             // through the rowid views.
             let bound = predicate.bind(&b.schema)?;
             let views: Vec<ColView<'_>> = b.cols.iter().map(LazyCol::view).collect();
             let workers = ctx.par.workers_for(b.len());
-            let strings = &ctx.strings;
+            let strings = ctx.strings;
             let sel: Vec<u32> = if workers <= 1 {
                 b.row_ids()
                     .filter(|&i| bound.matches_views(&views, i as usize, strings))
@@ -1013,7 +946,7 @@ fn eval_batch_inner<'s>(
             Ok(b)
         }
         Plan::Project { input, columns } => {
-            let b = eval_batch(input, scans, ctx)?;
+            let b = eval_batch(input, rels, ctx)?;
             let (schema, idx) = b.schema.project(columns)?;
             // Dedup elision: a projection that keeps every input column is
             // a permutation, so a provably duplicate-free input stays
@@ -1036,7 +969,7 @@ fn eval_batch_inner<'s>(
             if permutation && input.is_distinct() {
                 ctx.dedups_elided += 1;
             } else {
-                out.dedup_with(&ctx.pool, &ctx.par, &mut ctx.par_stats);
+                out.dedup_with(ctx.pool, &ctx.par, &mut ctx.par_stats);
             }
             Ok(out)
         }
@@ -1047,13 +980,13 @@ fn eval_batch_inner<'s>(
             // subtree before the probe side runs at all.
             let sip_ok = ctx.sip && !(plan_mints(left) && plan_mints(right));
             let (l, r) = if sip_ok {
-                let r = eval_batch(right, scans, ctx)?;
+                let r = eval_batch(right, rels, ctx)?;
                 maybe_register_sip(left, &r, ctx);
-                let l = eval_batch(left, scans, ctx)?;
+                let l = eval_batch(left, rels, ctx)?;
                 (l, r)
             } else {
-                let l = eval_batch(left, scans, ctx)?;
-                let r = eval_batch(right, scans, ctx)?;
+                let l = eval_batch(left, rels, ctx)?;
+                let r = eval_batch(right, rels, ctx)?;
                 (l, r)
             };
             let jp = l.schema.natural_join(&r.schema)?;
@@ -1143,7 +1076,7 @@ fn eval_batch_inner<'s>(
                 let probe_morsels = chunk_ranges(l_rows.len(), workers * 4);
                 ctx.par_stats
                     .note_stage(workers, build_morsels.len() + parts + probe_morsels.len());
-                let pool = &ctx.pool;
+                let pool = &*ctx.pool;
                 type ProbeOut = (Vec<u32>, Vec<u32>, Vec<DescId>, ShardDelta);
                 let results: Vec<ProbeOut> = run_tasks(workers, probe_morsels.len(), |t| {
                     let mut shard = pool.shard();
@@ -1248,13 +1181,13 @@ fn eval_batch_inner<'s>(
             {
                 ctx.dedups_elided += 1;
             } else {
-                out.dedup_with(&ctx.pool, &ctx.par, &mut ctx.par_stats);
+                out.dedup_with(ctx.pool, &ctx.par, &mut ctx.par_stats);
             }
             Ok(out)
         }
         Plan::Union { left, right } => {
-            let l = eval_batch(left, scans, ctx)?;
-            let r = eval_batch(right, scans, ctx)?;
+            let l = eval_batch(left, rels, ctx)?;
+            let r = eval_batch(right, rels, ctx)?;
             l.schema.union_compatible(&r.schema)?;
             // Concatenate column-wise: densify the left side (moves owned
             // columns, memcpys borrowed ones, fuses pending gathers), then
@@ -1292,11 +1225,11 @@ fn eval_batch_inner<'s>(
                 descs: Cow::Owned(descs),
                 sel: None,
             };
-            out.dedup_with(&ctx.pool, &ctx.par, &mut ctx.par_stats);
+            out.dedup_with(ctx.pool, &ctx.par, &mut ctx.par_stats);
             Ok(out)
         }
         Plan::Rename { input, renames } => {
-            let mut b = eval_batch(input, scans, ctx)?;
+            let mut b = eval_batch(input, rels, ctx)?;
             // Only the schema changes; columns and selection move through.
             b.schema = Cow::Owned(b.schema.rename(renames)?);
             Ok(b)
@@ -1308,7 +1241,7 @@ fn eval_batch_inner<'s>(
             }
             let mut inputs = Vec::new();
             for p in op.inputs() {
-                inputs.push(eval_batch(p, scans, ctx)?.into_columnar());
+                inputs.push(eval_batch(p, rels, ctx)?.into_columnar());
             }
             let result = op.eval(ctx, inputs)?;
             ctx.ext_cache.insert(key, result.clone());
@@ -1318,11 +1251,8 @@ fn eval_batch_inner<'s>(
 }
 
 /// Infer the output schema of a plan without evaluating it. This is the
-/// relation-map convenience form of [`Plan::schema_with`], which accepts
-/// any [`crate::optimize::SchemaProvider`].
-pub fn infer_schema(
-    plan: &Plan,
-    relations: &BTreeMap<String, URelation>,
-) -> Result<Schema, MayError> {
-    plan.schema_with(relations)
+/// world-set convenience form of [`Plan::schema_with`], which accepts any
+/// [`crate::optimize::SchemaProvider`].
+pub fn infer_schema(plan: &Plan, ws: &WorldSet) -> Result<Schema, MayError> {
+    plan.schema_with(ws)
 }

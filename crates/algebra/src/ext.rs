@@ -77,8 +77,9 @@ pub struct ExtProps {
 /// Inputs and results are [`ColumnarURelation`]s: one typed column vector
 /// per attribute plus the dense descriptor column. Their [`maybms_core::DescId`]
 /// handles resolve against `ctx.pool` and their string cells against
-/// `ctx.strings` — implementations intern through those pools when minting
-/// descriptors or strings, and must not assume handles are canonical for
+/// `ctx.strings` — implementations mint descriptors through `ctx.pool`
+/// (its per-run overlay; the string pool is read-only, so results reuse
+/// input string codes), and must not assume handles are canonical for
 /// rows produced by joins (use `ctx.pool.same_descriptor` / term access for
 /// content comparisons). Row order of the result is part of the operator's
 /// contract: it must be deterministic for equal inputs, because component

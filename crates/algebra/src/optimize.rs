@@ -55,7 +55,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use maybms_core::{FxHashMap, MayError, Schema, URelation};
+use maybms_core::{FxHashMap, MayError, Relations, Schema, WorldSet};
 
 use crate::cost::StatsProvider;
 use crate::ext::ExtOperator;
@@ -63,9 +63,9 @@ use crate::plan::Plan;
 use crate::predicate::Predicate;
 
 /// A source of base-relation schemas, the only context the optimizer (and
-/// plan schema inference) needs. Implemented for the executor's relation
-/// map, for a plain name → schema map, and — in `maybms-sql` — for the
-/// MayQL catalog.
+/// plan schema inference) needs. Implemented for a world set (and its
+/// stored-relation map, which the executor holds), for a plain name →
+/// schema map, and — in `maybms-sql` — for the MayQL catalog.
 pub trait SchemaProvider {
     /// The schema of the named base relation, if known.
     fn base_schema(&self, name: &str) -> Option<&Schema>;
@@ -77,9 +77,15 @@ impl SchemaProvider for BTreeMap<String, Schema> {
     }
 }
 
-impl SchemaProvider for BTreeMap<String, URelation> {
+impl SchemaProvider for Relations {
     fn base_schema(&self, name: &str) -> Option<&Schema> {
         self.get(name).map(|r| r.schema())
+    }
+}
+
+impl SchemaProvider for WorldSet {
+    fn base_schema(&self, name: &str) -> Option<&Schema> {
+        self.stored(name).ok().map(|r| r.schema())
     }
 }
 

@@ -119,7 +119,7 @@ fn main() {
         let ws = normalization_workload(&mut Rng::new(0xBE7C), n);
         let (rows, ms) = bench_min(&ws, |ws| {
             ws.normalize();
-            ws.relations["r"].len()
+            ws.stored("r").expect("r is loaded").len()
         });
         emit("normalize", n, rows, ms);
     }
@@ -182,7 +182,7 @@ fn main() {
             run(ws, &plan).expect("join workload is well-typed").len()
         });
         emit("join3_filtered_raw", n, rows, ms);
-        let optimized = optimize(&plan, &ws.relations).expect("plan optimizes");
+        let optimized = optimize(&plan, &ws).expect("plan optimizes");
         let (rows_opt, ms) = bench_min(&ws, |ws| {
             run(ws, &optimized)
                 .expect("optimized plan is well-typed")
@@ -208,7 +208,7 @@ fn main() {
         let plan = Plan::scan("r1")
             .join(Plan::scan("r2"))
             .join(Plan::scan("r3"));
-        let rules_only = optimize(&plan, &ws.relations).expect("plan optimizes");
+        let rules_only = optimize(&plan, &ws).expect("plan optimizes");
         let (rows, ms_raw) = bench_min(&ws, |ws| {
             run(ws, &rules_only)
                 .expect("join workload is well-typed")
@@ -216,7 +216,7 @@ fn main() {
         });
         emit("join3_skewed_raw", n, rows, ms_raw);
         let stats = world_set_stats(&ws);
-        let optimized = optimize_with_stats(&plan, &ws.relations, &stats).expect("plan optimizes");
+        let optimized = optimize_with_stats(&plan, &ws, &stats).expect("plan optimizes");
         assert_ne!(
             rules_only.to_string(),
             optimized.to_string(),
@@ -302,7 +302,7 @@ fn main() {
         });
         emit("selective_right_raw", n, rows, ms);
         let stats = world_set_stats(&ws);
-        let optimized = optimize_with_stats(&plan, &ws.relations, &stats).expect("plan optimizes");
+        let optimized = optimize_with_stats(&plan, &ws, &stats).expect("plan optimizes");
         let (rows_opt, ms) = bench_min(&ws, |ws| {
             run(ws, &optimized)
                 .expect("optimized plan is well-typed")
@@ -327,7 +327,7 @@ fn main() {
                 .len()
         });
         emit("possible_pushdown_raw", n, rows, ms);
-        let optimized = optimize(&plan, &ws.relations).expect("plan optimizes");
+        let optimized = optimize(&plan, &ws).expect("plan optimizes");
         let (rows_opt, ms) = bench_min(&ws, |ws| {
             run(ws, &optimized)
                 .expect("optimized plan is well-typed")
@@ -434,12 +434,12 @@ fn main() {
         let ws = normalization_workload(&mut Rng::new(0xBE7C), n);
         let (rows1, ms1) = bench_min(&ws, |ws| {
             ws.normalize_with(&t1);
-            ws.relations["r"].len()
+            ws.stored("r").expect("r is loaded").len()
         });
         emit("normalize_t1", n, rows1, ms1);
         let (rows_n, ms_n) = bench_min(&ws, |ws| {
             ws.normalize_with(&tn);
-            ws.relations["r"].len()
+            ws.stored("r").expect("r is loaded").len()
         });
         assert_eq!(rows1, rows_n, "parallel normalize changed the result size");
         emit(&format!("normalize_t{par_threads}"), n, rows_n, ms_n);

@@ -305,7 +305,9 @@ impl ComponentSet {
     /// enumeration (both exact). Correct for any descriptor set (both
     /// methods are exact regardless of connectivity); connectivity only
     /// matters for cost, which is what [`ComponentSet::group_exact_cost`]
-    /// bounds.
+    /// bounds. Both sums can round just outside [0, 1] (a full key group
+    /// whose alternatives sum to 1.0000000000000002, say), so the result is
+    /// clamped into it.
     pub fn prob_of_group(&self, group: &[&WsDescriptor]) -> f64 {
         let enum_cost = self.assignment_count(group);
         let ie_cost = if group.len() < 64 {
@@ -317,7 +319,7 @@ impl ComponentSet {
         // saturate (≥ 64 descriptors over enough components), the tie must
         // fall to enumeration — inclusion–exclusion's u64 subset masks
         // cannot represent ≥ 64 descriptors.
-        if group.len() < 64 && ie_cost <= enum_cost {
+        let p = if group.len() < 64 && ie_cost <= enum_cost {
             self.prob_by_inclusion_exclusion(group)
         } else {
             let mut total = 0.0;
@@ -328,7 +330,8 @@ impl ComponentSet {
                 ControlFlow::Continue(())
             });
             total
-        }
+        };
+        p.clamp(0.0, 1.0)
     }
 
     /// Cost bound for solving one connected group *exactly*: the cheaper of

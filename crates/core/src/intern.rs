@@ -41,6 +41,11 @@ impl DescId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
+
+    /// The handle of a dense pool slot.
+    pub(crate) fn from_index(i: usize) -> DescId {
+        DescId(i as u32)
+    }
 }
 
 /// Compact storage for one interned descriptor. Construction is canonical:
@@ -80,6 +85,13 @@ impl Stored {
             Stored::Spilled(b) => b,
         }
     }
+
+    fn terms_mut(&mut self) -> &mut [(ComponentId, u16)] {
+        match self {
+            Stored::Inline { len, terms } => &mut terms[..*len as usize],
+            Stored::Spilled(b) => b,
+        }
+    }
 }
 
 /// Occupancy and hit statistics of a [`DescriptorPool`], exposed for
@@ -102,17 +114,122 @@ pub struct PoolStats {
     pub conjoin_inconsistent: u64,
 }
 
+/// FxHash of a term list — the probe key of an [`IdTable`], folded like the
+/// string pool's so the low bits the table masks are well mixed.
+#[inline]
+fn terms_hash(terms: &[(ComponentId, u16)]) -> u64 {
+    use std::hash::Hasher as _;
+    let mut h = crate::fxhash::FxHasher::default();
+    for &(c, a) in terms {
+        h.write_u32(c.0);
+        h.write_u16(a);
+    }
+    let h = h.finish();
+    h ^ (h >> 32)
+}
+
+/// The intern index of a [`DescriptorPool`]: an open-addressing table of
+/// entry handles (`u32::MAX` = empty), probed linearly from the term-list
+/// hash and verified against the entries' terms. The table stores no keys —
+/// each descriptor's terms live once, in the pool's entries — so indexing a
+/// spilled descriptor allocates nothing, and re-indexing after compaction
+/// only rehashes term lists in place.
+#[derive(Clone, Debug, Default)]
+struct IdTable {
+    slots: Vec<u32>,
+    len: usize,
+}
+
+impl IdTable {
+    /// An index over every entry (all must be canonical: distinct terms).
+    fn over(entries: &[Stored]) -> IdTable {
+        let mut t = IdTable::default();
+        t.resize(entries, (0..entries.len() as u32).collect());
+        t
+    }
+
+    /// The indexed handle whose terms are `terms` (hash `h`), if any.
+    #[inline]
+    fn get(&self, entries: &[Stored], h: u64, terms: &[(ComponentId, u16)]) -> Option<DescId> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = (h as usize) & mask;
+        loop {
+            let e = self.slots[i];
+            if e == u32::MAX {
+                return None;
+            }
+            if entries[e as usize].terms() == terms {
+                return Some(DescId(e));
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Index entry `id` (not indexed yet), growing the table at 7/8 load.
+    fn insert(&mut self, entries: &[Stored], id: DescId) {
+        if (self.len + 1) * 8 > self.slots.len() * 7 {
+            let mut ids: Vec<u32> = self
+                .slots
+                .iter()
+                .copied()
+                .filter(|&e| e != u32::MAX)
+                .collect();
+            ids.push(id.0);
+            self.resize(entries, ids);
+        } else {
+            self.place(entries, id.0);
+            self.len += 1;
+        }
+    }
+
+    /// Re-index exactly `ids` at ≤ 50% load.
+    fn resize(&mut self, entries: &[Stored], ids: Vec<u32>) {
+        let cap = (ids.len() * 2).next_power_of_two().max(16);
+        self.slots.clear();
+        self.slots.resize(cap, u32::MAX);
+        self.len = ids.len();
+        for id in ids {
+            self.place(entries, id);
+        }
+    }
+
+    fn place(&mut self, entries: &[Stored], id: u32) {
+        let mask = self.slots.len() - 1;
+        let mut i = (terms_hash(entries[id as usize].terms()) as usize) & mask;
+        while self.slots[i] != u32::MAX {
+            i = (i + 1) & mask;
+        }
+        self.slots[i] = id;
+    }
+}
+
+/// The state of an open overlay (see [`DescriptorPool::open_overlay`]): the
+/// pool's extent when it opened, and the index of the entries interned
+/// since — kept apart from the persistent index.
+#[derive(Clone, Debug)]
+struct Overlay {
+    base_len: usize,
+    base_spilled: usize,
+    base_stats: PoolStats,
+    index: IdTable,
+}
+
 /// An interner for world-set descriptors. See the module docs.
 #[derive(Clone, Debug)]
 pub struct DescriptorPool {
     entries: Vec<Stored>,
-    index: FxHashMap<Stored, DescId>,
+    index: IdTable,
     /// Scratch buffer for conjunction, reused across calls.
     scratch: Vec<(ComponentId, u16)>,
     /// Running usage counters; see [`PoolStats`].
     stats: PoolStats,
     /// Number of entries stored as [`Stored::Spilled`].
     spilled: usize,
+    /// The open overlay, if any.
+    overlay: Option<Overlay>,
 }
 
 impl Default for DescriptorPool {
@@ -124,15 +241,14 @@ impl Default for DescriptorPool {
 impl DescriptorPool {
     /// A fresh pool with the tautology pre-interned as [`DescId::TAUTOLOGY`].
     pub fn new() -> Self {
-        let taut = Stored::from_terms(&[]);
-        let mut index = FxHashMap::default();
-        index.insert(taut.clone(), DescId::TAUTOLOGY);
+        let entries = vec![Stored::from_terms(&[])];
         DescriptorPool {
-            entries: vec![taut],
-            index,
+            index: IdTable::over(&entries),
+            entries,
             scratch: Vec::new(),
             stats: PoolStats::default(),
             spilled: 0,
+            overlay: None,
         }
     }
 
@@ -175,27 +291,43 @@ impl DescriptorPool {
             self.stats.intern_hits += 1;
             return DescId::TAUTOLOGY;
         }
-        let before = self.entries.len();
-        let id = self.intern_stored(Stored::from_terms(terms));
-        if id.index() < before {
+        if let Some(id) = self.lookup(terms) {
             self.stats.intern_hits += 1;
+            return id;
         }
-        id
+        self.push_indexed(Stored::from_terms(terms))
     }
 
     /// Hash-cons a pre-built entry without touching the usage counters (the
-    /// shared tail of [`DescriptorPool::intern_terms`] and the shard
-    /// [`DescriptorPool::absorb`] path, which must not double-count the
-    /// shard's already-recorded calls).
+    /// shard [`DescriptorPool::absorb`] path, which must not double-count
+    /// the shard's already-recorded calls).
     fn intern_stored(&mut self, stored: Stored) -> DescId {
-        if let Some(&id) = self.index.get(&stored) {
-            return id;
+        match self.lookup(stored.terms()) {
+            Some(id) => id,
+            None => self.push_indexed(stored),
         }
+    }
+
+    /// Append a new canonical entry and index it (in the open overlay's
+    /// index, if any).
+    fn push_indexed(&mut self, stored: Stored) -> DescId {
         let id = DescId(self.entries.len() as u32);
         self.spilled += matches!(stored, Stored::Spilled(_)) as usize;
-        self.entries.push(stored.clone());
-        self.index.insert(stored, id);
+        self.entries.push(stored);
+        match &mut self.overlay {
+            Some(o) => o.index.insert(&self.entries, id),
+            None => self.index.insert(&self.entries, id),
+        };
         id
+    }
+
+    /// The canonical handle of a term list, if interned (persistent index
+    /// first, then the open overlay's).
+    fn lookup(&self, terms: &[(ComponentId, u16)]) -> Option<DescId> {
+        let h = terms_hash(terms);
+        self.index
+            .get(&self.entries, h, terms)
+            .or_else(|| self.overlay.as_ref()?.index.get(&self.entries, h, terms))
     }
 
     /// Intern the single assignment `component = alternative`.
@@ -297,6 +429,74 @@ impl DescriptorPool {
         out
     }
 
+    /// Open an overlay: until it is discarded, every entry the pool mints
+    /// (by interning or conjunction) is provisional, and interned
+    /// entries are indexed apart from the persistent index, which is left
+    /// untouched. This is the per-run overlay an executor run mints into on
+    /// top of a world set's persistent pool. Overlays do not nest.
+    pub(crate) fn open_overlay(&mut self) {
+        assert!(
+            self.overlay.is_none(),
+            "descriptor-pool overlays do not nest"
+        );
+        self.overlay = Some(Overlay {
+            base_len: self.entries.len(),
+            base_spilled: self.spilled,
+            base_stats: self.stats,
+            index: IdTable::default(),
+        });
+    }
+
+    /// Drop everything minted since [`DescriptorPool::open_overlay`] (and
+    /// the counters it bumped), restoring the pool to exactly its state when
+    /// the overlay opened: handles below that point keep their meaning, and
+    /// re-interning a dropped descriptor mints it afresh.
+    pub(crate) fn discard_overlay(&mut self) {
+        let o = self.overlay.take().expect("no open overlay");
+        self.entries.truncate(o.base_len);
+        self.spilled = o.base_spilled;
+        self.stats = o.base_stats;
+    }
+
+    /// Drop every entry whose slot in `live` is false and renumber the
+    /// survivors densely, in their old order (the tautology always survives
+    /// at slot 0). With `renumber`, also rewrite each survivor's component
+    /// ids through that old → new table, which must be strictly increasing
+    /// on the ids survivors mention (so term lists stay sorted and distinct)
+    /// — what a world set needs when it renumbers its components densely.
+    /// Returns the old → new handle table; dropped slots map to `u32::MAX`.
+    /// Every surviving entry must be canonical (interned, not a transient
+    /// `conjoin` result), which holds outside executor runs.
+    pub(crate) fn compact(&mut self, live: &[bool], renumber: Option<&[u32]>) -> Vec<u32> {
+        assert!(self.overlay.is_none(), "compaction under an open overlay");
+        let mut remap = vec![u32::MAX; self.entries.len()];
+        let entries = std::mem::take(&mut self.entries);
+        for (i, mut stored) in entries.into_iter().enumerate() {
+            if i == 0 || live.get(i).copied().unwrap_or(false) {
+                if let Some(table) = renumber {
+                    for t in stored.terms_mut() {
+                        t.0 = ComponentId(table[t.0 .0 as usize]);
+                    }
+                }
+                remap[i] = self.entries.len() as u32;
+                self.entries.push(stored);
+            }
+        }
+        self.reindex();
+        remap
+    }
+
+    /// Rebuild the index and the spill count over every entry (all
+    /// canonical).
+    fn reindex(&mut self) {
+        self.index = IdTable::over(&self.entries);
+        self.spilled = self
+            .entries
+            .iter()
+            .filter(|e| matches!(e, Stored::Spilled(_)))
+            .count();
+    }
+
     /// A fresh per-worker append arena over this pool. The pool itself is
     /// frozen while shards exist (they hold `&self`); every shard hands out
     /// handles numbered from `self.len()` upward, so shard handles and base
@@ -348,6 +548,18 @@ impl DescriptorPool {
 }
 
 impl PoolStats {
+    /// The counters accumulated since `earlier` (a snapshot of the same
+    /// pool).
+    pub fn since(&self, earlier: &PoolStats) -> PoolStats {
+        PoolStats {
+            intern_calls: self.intern_calls - earlier.intern_calls,
+            intern_hits: self.intern_hits - earlier.intern_hits,
+            conjoin_calls: self.conjoin_calls - earlier.conjoin_calls,
+            conjoin_shortcuts: self.conjoin_shortcuts - earlier.conjoin_shortcuts,
+            conjoin_inconsistent: self.conjoin_inconsistent - earlier.conjoin_inconsistent,
+        }
+    }
+
     /// Fold another pool's (or shard's) counters into this one.
     pub fn accumulate(&mut self, other: &PoolStats) {
         self.intern_calls += other.intern_calls;
@@ -418,11 +630,11 @@ impl PoolShard<'_> {
             self.stats.intern_hits += 1;
             return DescId::TAUTOLOGY;
         }
-        let stored = Stored::from_terms(terms);
-        if let Some(&id) = self.base.index.get(&stored) {
+        if let Some(id) = self.base.lookup(terms) {
             self.stats.intern_hits += 1;
             return id;
         }
+        let stored = Stored::from_terms(terms);
         if let Some(&id) = self.index.get(&stored) {
             self.stats.intern_hits += 1;
             return id;
@@ -729,6 +941,57 @@ mod tests {
             pool.terms(global),
             &[(ComponentId(0), 1), (ComponentId(1), 0)]
         );
+    }
+
+    #[test]
+    fn overlays_discard_exactly() {
+        let mut pool = DescriptorPool::new();
+        let a = pool.intern(&WsDescriptor::single(ComponentId(0), 1));
+        let b = pool.intern(&WsDescriptor::single(ComponentId(1), 0));
+        let both = WsDescriptor::from_terms(vec![(ComponentId(0), 1), (ComponentId(1), 0)])
+            .expect("distinct components");
+        let canonical = pool.intern(&both);
+        let (len, stats) = (pool.len(), pool.stats());
+        pool.open_overlay();
+        // A non-canonical conjoin duplicate of an older canonical entry, and
+        // a fresh canonical entry, both provisional.
+        let dup = pool.conjoin(a, b).expect("distinct components");
+        assert_ne!(dup, canonical);
+        let single = WsDescriptor::single(ComponentId(2), 1);
+        let fresh = pool.intern(&single);
+        assert_eq!(pool.intern(&single), fresh, "canonical inside the overlay");
+        assert_eq!(pool.intern(&both), canonical, "the base stays visible");
+        pool.discard_overlay();
+        assert_eq!((pool.len(), pool.stats()), (len, stats));
+        // The dropped entry is minted afresh at the end of the pool.
+        let again = pool.intern(&single);
+        assert_eq!(again.index(), len);
+    }
+
+    #[test]
+    fn compact_renumbers_survivors_and_stays_canonical() {
+        let mut pool = DescriptorPool::new();
+        let ids: Vec<DescId> = (0..4)
+            .map(|c| pool.intern(&WsDescriptor::single(ComponentId(c), 0)))
+            .collect();
+        let mut live = vec![false; pool.len()];
+        live[ids[1].index()] = true;
+        live[ids[3].index()] = true;
+        let remap = pool.compact(&live, None);
+        assert_eq!(pool.len(), 3);
+        assert_eq!(remap[0], 0);
+        assert_eq!(remap[ids[0].index()], u32::MAX);
+        let new3 = DescId(remap[ids[3].index()]);
+        assert_eq!(pool.terms(new3), &[(ComponentId(3), 0)]);
+        assert_eq!(pool.intern(&WsDescriptor::single(ComponentId(3), 0)), new3);
+
+        // Keep everything, renumbering components 1 → 0 and 3 → 1.
+        let live = vec![true; pool.len()];
+        let remap = pool.compact(&live, Some(&[u32::MAX, 0, u32::MAX, 1]));
+        let new3 = DescId(remap[new3.index()]);
+        assert_eq!(pool.terms(new3), &[(ComponentId(1), 0)]);
+        assert_eq!(pool.intern(&WsDescriptor::single(ComponentId(1), 0)), new3);
+        assert_eq!(pool.len(), 3);
     }
 
     #[test]

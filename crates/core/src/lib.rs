@@ -18,26 +18,28 @@
 //! The crate also provides:
 //!
 //! * [`world::WorldSet`] — a complete uncertain database (component set plus
-//!   named u-relations) with exhaustive **world enumeration**, which serves as
-//!   the *naive oracle* that the algebra layer is differentially tested
-//!   against;
+//!   named u-relations, each stored once in columnar form over the world
+//!   set's persistent interning pools, with its statistics) with exhaustive
+//!   **world enumeration**, which serves as the *naive oracle* that the
+//!   algebra layer is differentially tested against;
 //! * [`intern`] — the descriptor pool: each distinct descriptor is mapped to
 //!   a dense `u32` [`DescId`] (with inline storage for the dominant 0/1/2-term
 //!   cases), so the executor conjoins, hashes, and deduplicates on integers
 //!   instead of re-allocating sorted term vectors;
-//! * [`columnar`] — the columnar execution form of a u-relation: one typed
-//!   vector per attribute (strings dictionary-encoded through a [`StrPool`])
-//!   plus the dense [`DescId`] column, with exact row↔columnar conversion;
-//!   this is what the vectorized executor in `maybms-algebra` and the
-//!   columnar normalization path scan;
+//! * [`columnar`] — the stored and execution form of a u-relation: one
+//!   typed vector per attribute (strings dictionary-encoded through a
+//!   [`StrPool`]) plus the dense [`DescId`] column, with exact row↔columnar
+//!   conversion at the I/O boundary; this is what the vectorized executor in
+//!   `maybms-algebra` and normalization scan;
 //! * [`normalize`] — descriptor simplification, absorption, merging of rows
 //!   that cover all alternatives of a component, and garbage collection of
 //!   unreferenced components;
 //! * [`naive`] — plain (single-world) implementations of the positive
 //!   relational algebra used by the per-world oracle;
 //! * [`stats`] — one-pass per-relation statistics (KMV distinct-count
-//!   sketches, min/max, descriptor density) that the cost-based optimizer
-//!   phase in `maybms-algebra` plans against;
+//!   sketches, min/max, descriptor density), collected from the stored
+//!   columns, that the cost-based optimizer phase in `maybms-algebra` plans
+//!   against;
 //! * [`obs`] — observability: the per-query [`Tracer`]/[`QueryTrace`] span
 //!   machinery behind `EXPLAIN ANALYZE` and Chrome-trace export, plus the
 //!   process-wide [`metrics`] registry (counters and log-linear histograms)
@@ -87,4 +89,4 @@ pub use schema::{Column, Schema};
 pub use stats::{collect as collect_stats, world_set_stats, ColumnStats, KmvSketch, RelationStats};
 pub use urel::URelation;
 pub use value::{Value, ValueType, F64};
-pub use world::WorldSet;
+pub use world::{Relations, RunParts, StoredRelation, WorldSet};

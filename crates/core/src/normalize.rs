@@ -24,8 +24,6 @@
 //! Finally, components referenced by no relation are **garbage collected**
 //! and the remaining components are renumbered densely.
 
-use std::cmp::Ordering;
-
 use crate::columnar::{ColumnarURelation, StrPool};
 use crate::component::ComponentSet;
 use crate::descriptor::{ComponentId, WsDescriptor};
@@ -38,80 +36,89 @@ use crate::world::WorldSet;
 
 /// Normalize a world set in place. See the module docs for the rewrites.
 ///
-/// Each relation goes through the *columnar* pipeline
-/// ([`normalize_relation`]); the row-oriented [`normalize_rows`] is kept as
-/// the reference implementation the columnar path is differentially tested
-/// against. The thread budget comes from the environment
-/// ([`ParCfg::from_env`], i.e. `MAYBMS_THREADS`); [`normalize_with`] takes
-/// it explicitly.
+/// Each stored relation goes through the *columnar* pipeline
+/// ([`normalize_columnar`]) directly on its stored columns; the
+/// row-oriented [`normalize_rows`] is kept as the reference implementation
+/// the columnar path is differentially tested against. The thread budget
+/// comes from the environment ([`ParCfg::from_env`], i.e.
+/// `MAYBMS_THREADS`); [`normalize_with`] takes it explicitly.
 pub fn normalize(ws: &mut WorldSet) {
     normalize_with(ws, &ParCfg::from_env());
 }
 
 /// [`normalize`] with an explicit parallelism configuration. The result is
-/// byte-identical for every thread count: the parallel stages (conversion,
-/// canonical sort, per-tuple-group fixpoint) are deterministic, and the
-/// tuple groups the rewrites act on are independent by construction.
+/// byte-identical for every thread count: the parallel stages (canonical
+/// sort, per-tuple-group fixpoint) are deterministic, and the tuple groups
+/// the rewrites act on are independent by construction.
 pub fn normalize_with(ws: &mut WorldSet, par: &ParCfg) {
-    let components = ws.components.clone();
     for rel in ws.relations.values_mut() {
-        normalize_relation_with(rel, &components, par);
+        if rel.is_empty() {
+            continue;
+        }
+        let out = normalize_columnar(
+            rel.columnar(),
+            &mut ws.pool,
+            &ws.strings,
+            &ws.components,
+            par,
+        );
+        rel.replace_normalized(out, &ws.pool, &ws.components);
     }
     gc_components(ws);
 }
 
-/// Columnar normalization of one relation, in place. Equivalent to
-/// `normalize_rows` on the same rows, but engineered for large relations:
-///
-/// 1. the relation is converted to [`ColumnarURelation`] form once, interning
-///    every descriptor into a run-local [`DescriptorPool`];
-/// 2. trivial-assignment stripping is **memoized per distinct descriptor
-///    handle** instead of re-filtering term vectors per row;
-/// 3. the canonical sort orders a `u32` permutation vector with column-wise
-///    typed comparisons — rows are never moved, and no `(Tuple, WsDescriptor)`
-///    pairs are shuffled through memory;
-/// 4. the per-tuple-group fixpoint (dedup, absorption, coverage merging)
-///    runs on canonical [`DescId`]s, so descriptor equality inside a group is
-///    an integer compare;
-/// 5. the surviving rows are emitted in one pass, in the same canonical
-///    `(tuple, descriptor)` order the reference path produces — *moving* the
-///    original tuples (and, where a row survived unchanged, its original
-///    descriptor) instead of re-materializing them from the columns.
+/// Columnar normalization of one relation, at the row boundary: the
+/// relation is converted over fresh pools, normalized by
+/// [`normalize_columnar`], and converted back. Produces exactly the rows
+/// [`normalize_rows`] produces.
 pub fn normalize_relation(rel: &mut URelation, components: &ComponentSet) {
-    normalize_relation_with(rel, components, &ParCfg::sequential());
+    let mut pool = DescriptorPool::new();
+    let mut strings = StrPool::new();
+    let col = ColumnarURelation::from_urelation(rel, &mut pool, &mut strings);
+    let out = normalize_columnar(&col, &mut pool, &strings, components, &ParCfg::sequential());
+    *rel = out.to_urelation(&pool, &strings);
 }
 
-/// [`normalize_relation`] with an explicit parallelism configuration.
+/// Columnar normalization of one relation whose descriptor handles are
+/// canonical in `pool` (interned, as every stored relation's are). Returns
+/// the normalized relation — the same rows, in the same canonical
+/// `(tuple, descriptor)` order, as `normalize_rows` — with canonical handles
+/// in `pool`:
 ///
-/// Above the morsel threshold three stages fan out, each deterministic:
-/// the columnar conversion (per-morsel pool shards, merged in task order),
-/// the canonical sort key build plus [`par_sort_by`] (which reproduces a
-/// stable sort exactly — and the comparator is a *total* order on surviving
-/// rows, so it equals the sequential unstable sort's output too), and the
+/// 1. trivial-assignment stripping is **memoized per distinct descriptor
+///    handle** instead of re-filtering term vectors per row;
+/// 2. the canonical sort orders a `u32` permutation vector with column-wise
+///    typed comparisons — rows are never moved, and no `(Tuple, WsDescriptor)`
+///    pairs are shuffled through memory;
+/// 3. the per-tuple-group fixpoint (dedup, absorption, coverage merging)
+///    runs on canonical [`DescId`]s, so descriptor equality inside a group is
+///    an integer compare;
+/// 4. the surviving rows are gathered column-wise in one pass, each group's
+///    representative row repeated once per surviving descriptor.
+///
+/// Above the morsel threshold two stages fan out, each deterministic: the
+/// canonical sort key build plus [`par_sort_by`] (which reproduces a stable
+/// sort exactly — and the comparator is a *total* order on surviving rows,
+/// so it equals the sequential unstable sort's output too), and the
 /// per-tuple-group fixpoint (groups are independent; each task simplifies
 /// its groups against a private [`PoolShard`](crate::intern::PoolShard) and
 /// the resulting handles are remapped after a task-ordered absorb). The
-/// strip memo and the emit pass stay sequential — both are cheap relative
-/// to the sort and fixpoint.
-pub fn normalize_relation_with(rel: &mut URelation, components: &ComponentSet, par: &ParCfg) {
-    if rel.is_empty() {
-        return;
-    }
+/// strip memo and the gather stay sequential — both are cheap relative to
+/// the sort and fixpoint.
+pub fn normalize_columnar(
+    col: &ColumnarURelation,
+    pool: &mut DescriptorPool,
+    strings: &StrPool,
+    components: &ComponentSet,
+    par: &ParCfg,
+) -> ColumnarURelation {
     let registry = crate::obs::metrics();
     registry.normalize_runs_total.inc();
-    registry.normalize_rows_total.add(rel.len() as u64);
-    let mut pool = DescriptorPool::new();
-    let mut strings = StrPool::new();
+    registry.normalize_rows_total.add(col.len() as u64);
     let mut par_stats = ParStats::default();
-    let col =
-        ColumnarURelation::from_urelation_with(rel, &mut pool, &mut strings, par, &mut par_stats);
-    let orig_ids: Vec<DescId> = col.descs().to_vec();
+    let orig_ids = col.descs();
     let n = col.len();
     let workers = par.workers_for(n);
-    // The original rows, each taken at most once during the emit pass below
-    // (the columns hold independent copies of the values).
-    let mut rows: Vec<Option<(Tuple, WsDescriptor)>> =
-        rel.take_rows().into_iter().map(Some).collect();
 
     // Memoized trivial-assignment stripping: handles are canonical, so each
     // distinct descriptor is stripped (and re-interned) exactly once.
@@ -153,7 +160,7 @@ pub fn normalize_relation_with(rel: &mut URelation, components: &ComponentSet, p
         Some(first) => {
             if workers <= 1 {
                 (0..n)
-                    .map(|i| (first.sort_prefix(i, &strings), i as u32))
+                    .map(|i| (first.sort_prefix(i, strings), i as u32))
                     .collect()
             } else {
                 let morsels = chunk_ranges(n, workers * 4);
@@ -161,7 +168,7 @@ pub fn normalize_relation_with(rel: &mut URelation, components: &ComponentSet, p
                 run_tasks(workers, morsels.len(), |t| {
                     morsels[t]
                         .clone()
-                        .map(|i| (first.sort_prefix(i, &strings), i as u32))
+                        .map(|i| (first.sort_prefix(i, strings), i as u32))
                         .collect::<Vec<_>>()
                 })
                 .concat()
@@ -172,7 +179,7 @@ pub fn normalize_relation_with(rel: &mut URelation, components: &ComponentSet, p
     };
     let by_canonical = |&(ka, i): &(u64, u32), &(kb, j): &(u64, u32)| {
         ka.cmp(&kb).then_with(|| {
-            col.cmp_rows(i as usize, j as usize, &strings)
+            col.cmp_rows(i as usize, j as usize, strings)
                 .then_with(|| pool.cmp_terms(descs[i as usize], descs[j as usize]))
         })
     };
@@ -226,7 +233,7 @@ pub fn normalize_relation_with(rel: &mut URelation, components: &ComponentSet, p
             loop {
                 ids.sort_unstable_by(|&a, &b| pool.cmp_terms(a, b));
                 ids.dedup();
-                if !simplify_disjunction_ids(&mut ids, &mut pool, components) {
+                if !simplify_disjunction_ids(&mut ids, pool, components) {
                     break;
                 }
             }
@@ -268,55 +275,27 @@ pub fn normalize_relation_with(rel: &mut URelation, components: &ComponentSet, p
         par_stats.note_merge(entries, started.elapsed().as_nanos() as u64);
     }
 
-    let mut out: Vec<(Tuple, WsDescriptor)> = Vec::with_capacity(perm.len());
+    // Emit: each group's representative row, once per surviving descriptor
+    // (in canonical order), gathered column-wise.
+    let mut out_rows: Vec<u32> = Vec::with_capacity(perm.len());
+    let mut out_descs: Vec<DescId> = Vec::with_capacity(perm.len());
+    let mut resolved = resolved.into_iter();
     let mut mi = 0;
-    for (g, &(start, end)) in groups.iter().enumerate() {
-        let single;
-        let ids: &[DescId] = if mi < multi.len() && multi[mi] == g {
+    for (g, &(start, _)) in groups.iter().enumerate() {
+        let rep = perm[start];
+        if mi < multi.len() && multi[mi] == g {
             mi += 1;
-            &resolved[mi - 1]
+            for id in resolved.next().expect("one resolved list per multi group") {
+                out_rows.push(rep);
+                out_descs.push(id);
+            }
         } else {
             // Singleton group: its one stripped descriptor survives as-is.
-            single = [descs[perm[start] as usize]];
-            &single
-        };
-        // Move the representative row out; its tuple is the group's tuple.
-        let (tuple, rep_desc) = rows[perm[start] as usize]
-            .take()
-            .expect("each source row is taken at most once");
-        let mut rep_desc = Some(rep_desc);
-        // Emit the group's descriptors in canonical order, reusing an
-        // original descriptor whenever a surviving id belongs to a source
-        // row whose descriptor was not rewritten by stripping. Group rows
-        // and surviving ids are both sorted by term list, so one forward
-        // pointer finds each reusable row.
-        let mut p = start;
-        let last = ids.len() - 1;
-        for (k, &id) in ids.iter().enumerate() {
-            while p < end && pool.cmp_terms(descs[perm[p] as usize], id) == Ordering::Less {
-                p += 1;
-            }
-            let mut reused = None;
-            if p < end && descs[perm[p] as usize] == id {
-                let row = perm[p] as usize;
-                p += 1;
-                if orig_ids[row] == id {
-                    reused = if row == perm[start] as usize {
-                        rep_desc.take()
-                    } else {
-                        rows[row].take().map(|(_, d)| d)
-                    };
-                }
-            }
-            let desc = reused.unwrap_or_else(|| pool.to_descriptor(id));
-            if k == last {
-                out.push((tuple, desc));
-                break;
-            }
-            out.push((tuple.clone(), desc));
+            out_rows.push(rep);
+            out_descs.push(descs[rep as usize]);
         }
     }
-    rel.set_rows(out);
+    col.gather_with_descs(&out_rows, out_descs)
 }
 
 /// Absorption and coverage merging on canonical descriptor handles — the
@@ -502,24 +481,28 @@ fn simplify_disjunction(descs: &mut Vec<WsDescriptor>, components: &ComponentSet
 }
 
 /// Drop components no relation references and renumber the rest densely.
-/// Reference detection is a linear sweep over a dense mark vector (one flag
-/// per component) — no ordered-set construction on the hot path.
+/// Normalization leaves stale descriptors in the world set's pool, so the
+/// pool is swept: reference detection reads only the live pool entries (one
+/// flag per component), and dead entries are dropped when they outnumber
+/// the live ones — or whenever components are renumbered, in the same pass
+/// that rewrites the survivors' terms (the relations' handles are remapped
+/// with them).
 fn gc_components(ws: &mut WorldSet) {
+    let live = ws.live_descs();
     let total = ws.components.len();
     let mut used = vec![false; total];
     let mut used_count = 0;
-    for rel in ws.relations.values() {
-        for (_, d) in rel.rows() {
-            for &(c, _) in d.terms() {
-                let slot = &mut used[c.0 as usize];
-                if !*slot {
-                    *slot = true;
-                    used_count += 1;
-                }
+    for (i, _) in live.iter().enumerate().filter(|&(_, &l)| l) {
+        for &(c, _) in ws.pool.terms(DescId::from_index(i)) {
+            let slot = &mut used[c.0 as usize];
+            if !*slot {
+                *slot = true;
+                used_count += 1;
             }
         }
     }
     if used_count == total {
+        ws.sweep_descs(&live, None);
         return;
     }
     // Dense renumbering in ascending component order.
@@ -531,20 +514,9 @@ fn gc_components(ws: &mut WorldSet) {
             remap_table[old] = new.0;
         }
     }
-    let remap = |c: ComponentId| ComponentId(remap_table[c.0 as usize]);
+    ws.sweep_descs(&live, Some(&remap_table));
     for rel in ws.relations.values_mut() {
-        let rows = rel
-            .take_rows()
-            .into_iter()
-            .map(|(t, d)| {
-                let terms: Vec<_> = d.terms().iter().map(|&(c, a)| (remap(c), a)).collect();
-                (
-                    t,
-                    WsDescriptor::from_terms(terms).expect("renumbering keeps consistency"),
-                )
-            })
-            .collect();
-        rel.set_rows(rows);
+        rel.clear_rows();
     }
     ws.components = new_set;
 }

@@ -38,8 +38,7 @@ use std::time::Instant;
 pub struct ObsCounters {
     /// Morsels (parallel tasks) dispatched.
     pub morsels: u64,
-    /// Pool entries (descriptors + strings) minted in worker shards and
-    /// merged back.
+    /// Descriptor entries minted in worker shards and merged back.
     pub shard_entries: u64,
     /// Nanoseconds spent in deterministic shard merge/remap steps.
     pub merge_nanos: u64,
@@ -293,8 +292,8 @@ impl QueryTrace {
     }
 
     /// The root *plan node* span, if one was recorded. Root-level phase
-    /// events (like the up-front `scan-convert`) are skipped: they are
-    /// siblings of the plan root, not its operators.
+    /// events are skipped: they would be siblings of the plan root, not
+    /// its operators.
     pub fn root(&self) -> Option<&Span> {
         self.spans
             .iter()

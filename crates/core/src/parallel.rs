@@ -105,8 +105,8 @@ pub struct ParStats {
     pub workers_used: usize,
     /// Total morsels (tasks) dispatched across all parallel stages.
     pub morsels: u64,
-    /// Pool entries (descriptors + strings) minted inside worker shards and
-    /// merged back into the run-global pools.
+    /// Descriptor entries minted inside worker shards and merged back into
+    /// the run's pool.
     pub shard_entries: u64,
     /// Nanoseconds spent in the deterministic shard merge/remap steps.
     pub merge_nanos: u64,

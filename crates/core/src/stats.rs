@@ -4,11 +4,15 @@
 //! per-column distinct-count estimates (a KMV sketch — the k minimum hash
 //! values — plus exact min/max), and a descriptor-density summary (the
 //! fraction of rows whose descriptor is non-trivial, and the mean number of
-//! alternatives of the components the relation references). The `sql`
-//! catalog caches one per base relation at materialization time and the
-//! cost-based optimizer phase in `maybms-algebra` consumes them through its
-//! `StatsProvider` trait; `maybms-core` itself attaches no planning
-//! semantics to the numbers.
+//! alternatives of the components the relation references). A
+//! [`WorldSet`] computes one per relation from its stored columns
+//! (`collect_columnar`) when the relation is inserted, refreshes the
+//! descriptor summary when it is normalized, and keeps it beside the
+//! relation; the `sql` catalog copies them and the cost-based optimizer
+//! phase in `maybms-algebra` consumes them through its `StatsProvider`
+//! trait. `maybms-core` itself attaches no planning semantics to the
+//! numbers. The row-based [`collect`] is the reference the columnar pass is
+//! tested against.
 //!
 //! ## KMV accuracy
 //!
@@ -21,8 +25,10 @@
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 
+use crate::columnar::{ColumnData, ColumnVec, ColumnarURelation, StrPool};
 use crate::component::ComponentSet;
 use crate::fxhash::{FxHashSet, FxHasher};
+use crate::intern::{DescId, DescriptorPool};
 use crate::urel::URelation;
 use crate::value::Value;
 use crate::world::WorldSet;
@@ -59,6 +65,12 @@ impl KmvSketch {
     }
 
     fn observe_hash(&mut self, h: u64) {
+        // At capacity, a hash at or above the current k-th minimum changes
+        // nothing (a kept duplicate equals it at most) — the common case,
+        // decided without touching the membership set.
+        if self.heap.len() == KMV_K && h >= *self.heap.peek().expect("heap holds KMV_K entries") {
+            return;
+        }
         if self.members.contains(&h) {
             return;
         }
@@ -192,11 +204,134 @@ pub fn collect(rel: &URelation, comps: &ComponentSet) -> RelationStats {
     }
 }
 
-/// [`collect`] for every relation of a world set.
+/// [`collect`] over a columnar relation, reading its cells in place:
+/// identical numbers (the KMV sketch hashes string *contents*, exactly as
+/// the row pass hashes [`Value`]s), one sweep per column. Strings are
+/// sketched and ranged once per distinct code.
+pub(crate) fn collect_columnar(
+    rel: &ColumnarURelation,
+    pool: &DescriptorPool,
+    strings: &StrPool,
+    comps: &ComponentSet,
+) -> RelationStats {
+    let columns = rel
+        .schema()
+        .names()
+        .into_iter()
+        .zip(rel.columns())
+        .map(|(name, col)| (name.to_string(), column_stats(col, strings)))
+        .collect();
+    let mut stats = RelationStats {
+        rows: 0,
+        columns,
+        nontrivial_frac: 0.0,
+        mean_alternatives: 0.0,
+    };
+    stats.refresh_descriptors(rel.descs(), pool, comps);
+    stats
+}
+
+/// One column's [`ColumnStats`], as [`collect`] would compute them from the
+/// column's values.
+fn column_stats(col: &ColumnVec, strings: &StrPool) -> ColumnStats {
+    let mut sketch = KmvSketch::new();
+    let mut min_max: Option<(Value, Value)> = None;
+    let mut widen = |v: &Value| match &mut min_max {
+        None => min_max = Some((v.clone(), v.clone())),
+        Some((lo, hi)) => {
+            if v < lo {
+                *lo = v.clone();
+            }
+            if v > hi {
+                *hi = v.clone();
+            }
+        }
+    };
+    match col.data() {
+        ColumnData::Str(codes) => {
+            // The sketch and the range depend only on the distinct values,
+            // so each code is looked at once; one reused buffer carries the
+            // string into the `Value` the sketch hashes.
+            let mut seen = vec![false; strings.len()];
+            let mut seen_null = false;
+            let mut buf = Value::Str(String::new());
+            for (i, &code) in codes.iter().enumerate() {
+                if col.is_null(i) {
+                    if !std::mem::replace(&mut seen_null, true) {
+                        sketch.observe(&Value::Null);
+                        widen(&Value::Null);
+                    }
+                    continue;
+                }
+                if std::mem::replace(&mut seen[code as usize], true) {
+                    continue;
+                }
+                if let Value::Str(b) = &mut buf {
+                    b.clear();
+                    b.push_str(strings.get(code));
+                }
+                sketch.observe(&buf);
+                widen(&buf);
+            }
+        }
+        _ => {
+            for i in 0..col.len() {
+                let v = col.value(i, strings);
+                sketch.observe(&v);
+                widen(&v);
+            }
+        }
+    }
+    ColumnStats {
+        distinct: sketch.estimate(),
+        min_max,
+    }
+}
+
+impl RelationStats {
+    /// Recompute the row count and the descriptor summary from a relation's
+    /// descriptor column, keeping the column statistics. Normalization
+    /// rewrites descriptors and drops duplicate rows, but never adds or
+    /// removes a distinct tuple, so the column sketches and ranges it would
+    /// recompute are the ones already here.
+    pub(crate) fn refresh_descriptors(
+        &mut self,
+        descs: &[DescId],
+        pool: &DescriptorPool,
+        comps: &ComponentSet,
+    ) {
+        let mut referenced = vec![false; comps.len()];
+        let (mut nontrivial, mut count, mut alternatives) = (0u64, 0u64, 0u64);
+        for &d in descs {
+            if d.is_tautology() {
+                continue;
+            }
+            nontrivial += 1;
+            for &(c, _) in pool.terms(d) {
+                if !std::mem::replace(&mut referenced[c.0 as usize], true) {
+                    count += 1;
+                    alternatives += comps.get(c).alternatives() as u64;
+                }
+            }
+        }
+        self.rows = descs.len() as u64;
+        self.nontrivial_frac = if descs.is_empty() {
+            0.0
+        } else {
+            nontrivial as f64 / descs.len() as f64
+        };
+        self.mean_alternatives = if count == 0 {
+            0.0
+        } else {
+            alternatives as f64 / count as f64
+        };
+    }
+}
+
+/// The stored statistics of every relation of a world set.
 pub fn world_set_stats(ws: &WorldSet) -> BTreeMap<String, RelationStats> {
-    ws.relations
-        .iter()
-        .map(|(name, rel)| (name.clone(), collect(rel, &ws.components)))
+    ws.relations()
+        .map(|(name, rel)| (name.to_string(), rel.stats().clone()))
         .collect()
 }
 

@@ -138,16 +138,6 @@ impl URelation {
         }
         r
     }
-
-    /// Replace the rows wholesale (used by normalization).
-    pub(crate) fn set_rows(&mut self, rows: Vec<(Tuple, WsDescriptor)>) {
-        self.rows = rows;
-    }
-
-    /// Move the rows out (used by normalization).
-    pub(crate) fn take_rows(&mut self) -> Vec<(Tuple, WsDescriptor)> {
-        std::mem::take(&mut self.rows)
-    }
 }
 
 impl fmt::Display for URelation {

@@ -260,7 +260,7 @@ impl ExtOperator for Conf {
         // solves parallelize over morsels of runs with bit-exact results
         // for every thread count.
         let workers = ctx.par.workers_for(perm.len());
-        let pool = &ctx.pool;
+        let pool = &*ctx.pool;
         let components = &*ctx.components;
         let solve_runs = |range: std::ops::Range<usize>| {
             let mut kept: Vec<u32> = Vec::with_capacity(range.len());

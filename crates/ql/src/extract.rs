@@ -170,7 +170,7 @@ impl ExtOperator for Certain {
         // coverage checks parallelize over morsels of runs; concatenating
         // in task order keeps the output order sequential.
         let workers = ctx.par.workers_for(perm.len());
-        let pool = &ctx.pool;
+        let pool = &*ctx.pool;
         let components = &*ctx.components;
         let check_runs = |range: std::ops::Range<usize>| {
             let mut kept: Vec<u32> = Vec::new();

@@ -29,8 +29,8 @@ pub(crate) fn sorted_row_ids(r: &ColumnarURelation, ctx: &mut EvalCtx<'_>) -> Ve
     let started = ctx.tracer.now();
     let mut perm: Vec<u32> = (0..r.len() as u32).collect();
     let descs = r.descs();
-    let pool = &ctx.pool;
-    let strings = &ctx.strings;
+    let pool = &*ctx.pool;
+    let strings = ctx.strings;
     let cmp = |&i: &u32, &j: &u32| {
         r.cmp_rows(i as usize, j as usize, strings)
             .then_with(|| pool.cmp_terms(descs[i as usize], descs[j as usize]))

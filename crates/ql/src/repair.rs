@@ -133,7 +133,7 @@ impl ExtOperator for RepairKey {
         let mut perm = sorted_row_ids(r, ctx);
         perm.dedup_by(|&mut i, &mut j| r.rows_eq(i as usize, j as usize));
         let key_sort_started = ctx.tracer.now();
-        let strings = &ctx.strings;
+        let strings = ctx.strings;
         let by_key = |&i: &u32, &j: &u32| {
             key_idx
                 .iter()
@@ -183,8 +183,8 @@ impl ExtOperator for RepairKey {
                         r.column(wi).cell_f64(row as usize).ok_or_else(|| {
                             MayError::InvalidWeight(format!(
                                 "non-numeric weight {} in tuple {}",
-                                r.column(wi).value(row as usize, &ctx.strings),
-                                r.tuple_at(row as usize, &ctx.strings)
+                                r.column(wi).value(row as usize, ctx.strings),
+                                r.tuple_at(row as usize, ctx.strings)
                             ))
                         })
                     })

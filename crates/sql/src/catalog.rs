@@ -5,14 +5,14 @@ use std::collections::BTreeMap;
 use std::hash::{BuildHasher, Hasher};
 
 use maybms_algebra::{SchemaProvider, StatsProvider};
-use maybms_core::{collect_stats, FxBuildHasher, RelationStats, Schema, WorldSet};
+use maybms_core::{FxBuildHasher, RelationStats, Schema, WorldSet};
 
 /// A name → [`Schema`] map, optionally carrying per-relation statistics
 /// ([`RelationStats`]) for the cost-based optimizer phase. Semantic analysis
 /// resolves relation references against it; it is typically derived from a
-/// [`WorldSet`] with [`Catalog::from_world_set`] — which collects statistics
-/// in the same pass — and refreshed whenever a relation is added (e.g. after
-/// a REPL `LET`).
+/// [`WorldSet`] with [`Catalog::from_world_set`] — which copies the
+/// statistics the world set keeps per relation — and refreshed whenever a
+/// relation is added (e.g. after a REPL `LET`).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Catalog {
     schemas: BTreeMap<String, Schema>,
@@ -39,19 +39,18 @@ impl Catalog {
         self.stats.insert(name.into(), stats);
     }
 
-    /// The schemas *and statistics* of every relation in a world set, in
-    /// one pass per relation.
+    /// The schemas *and statistics* of every relation in a world set. The
+    /// statistics are the ones the world set keeps beside each stored
+    /// relation, copied rather than recollected.
     pub fn from_world_set(ws: &WorldSet) -> Catalog {
         Catalog {
             schemas: ws
-                .relations
-                .iter()
-                .map(|(n, r)| (n.clone(), r.schema().clone()))
+                .relations()
+                .map(|(n, r)| (n.to_string(), r.schema().clone()))
                 .collect(),
             stats: ws
-                .relations
-                .iter()
-                .map(|(n, r)| (n.clone(), collect_stats(r, &ws.components)))
+                .relations()
+                .map(|(n, r)| (n.to_string(), r.stats().clone()))
                 .collect(),
         }
     }

@@ -180,15 +180,12 @@ pub fn gen_descriptor(rng: &mut Rng, ws: &WorldSet) -> WsDescriptor {
 /// Generate a random positive-relational-algebra plan that is guaranteed to
 /// be well-typed against `ws` (schemas are tracked during generation).
 pub fn gen_plan(rng: &mut Rng, ws: &WorldSet, depth: usize) -> Plan {
-    assert!(
-        !ws.relations.is_empty(),
-        "gen_plan needs at least one base relation"
-    );
+    assert!(!ws.is_empty(), "gen_plan needs at least one base relation");
     gen_plan_inner(rng, ws, depth)
 }
 
 fn gen_plan_inner(rng: &mut Rng, ws: &WorldSet, depth: usize) -> Plan {
-    let names: Vec<String> = ws.relations.keys().cloned().collect();
+    let names: Vec<String> = ws.names().map(str::to_string).collect();
     if depth == 0 {
         return Plan::scan(rng.pick(&names).clone());
     }
@@ -258,7 +255,7 @@ fn gen_plan_inner(rng: &mut Rng, ws: &WorldSet, depth: usize) -> Plan {
 
 /// Schema of a generated plan (generated plans are always well-typed).
 fn plan_schema(plan: &Plan, ws: &WorldSet) -> Schema {
-    maybms_algebra::infer_schema(plan, &ws.relations).expect("generated plans are well-typed")
+    maybms_algebra::infer_schema(plan, ws).expect("generated plans are well-typed")
 }
 
 /// Wrap a generated plan in a random uncertainty construct (`possible`,
@@ -363,7 +360,7 @@ pub fn gen_uncertain_plan(rng: &mut Rng, ws: &WorldSet, depth: usize) -> Plan {
                         // relation (all base columns are ints from the
                         // shared pool, so shared names always agree on
                         // type; `conf`/`z` never collide).
-                        let rels: Vec<String> = ws.relations.keys().cloned().collect();
+                        let rels: Vec<String> = ws.names().map(str::to_string).collect();
                         plan = plan.join(Plan::scan(rng.pick(&rels).clone()));
                     }
                 }
@@ -471,9 +468,9 @@ fn gen_query_inner(rng: &mut Rng, ws: &WorldSet, depth: usize) -> (String, Plan,
 
 /// `SELECT * FROM r` over a random base relation.
 fn gen_base_select(rng: &mut Rng, ws: &WorldSet) -> (String, Plan, Schema) {
-    let names: Vec<&String> = ws.relations.keys().collect();
-    let name = (*rng.pick(&names)).clone();
-    let schema = ws.relations[&name].schema().clone();
+    let names: Vec<&str> = ws.names().collect();
+    let name = rng.pick(&names).to_string();
+    let schema = ws.stored(&name).expect("listed name").schema().clone();
     let text = format!("{} * {} {name}", kw(rng, "select"), kw(rng, "from"));
     (text, Plan::scan(name), schema)
 }
@@ -622,9 +619,9 @@ enum Quant {
 /// A from-item: a bare relation name, or a parenthesized subquery.
 fn gen_from_item(rng: &mut Rng, ws: &WorldSet, depth: usize) -> (String, Plan, Schema) {
     if depth == 0 || rng.chance(0.5) {
-        let names: Vec<&String> = ws.relations.keys().collect();
-        let name = (*rng.pick(&names)).clone();
-        let schema = ws.relations[&name].schema().clone();
+        let names: Vec<&str> = ws.names().collect();
+        let name = rng.pick(&names).to_string();
+        let schema = ws.stored(&name).expect("listed name").schema().clone();
         (name.clone(), Plan::scan(name), schema)
     } else {
         let (t, p, s) = gen_query_inner(rng, ws, depth - 1);

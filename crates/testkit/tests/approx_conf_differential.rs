@@ -221,7 +221,7 @@ fn cutover_boundary_is_bitwise_exact_then_samples() {
 
             // Cost bound of the most expensive connected group of any
             // distinct tuple's descriptor set.
-            let rel = &ws.relations["r"];
+            let rel = ws.relation("r").expect("r is loaded");
             let mut by_tuple: BTreeMap<Tuple, Vec<WsDescriptor>> = BTreeMap::new();
             for (t, d) in rel.rows() {
                 by_tuple.entry(t.clone()).or_default().push(d.clone());
@@ -310,7 +310,7 @@ fn seeds_reproduce_and_stats_account_for_groups() {
 
         // Forced cutover: every group sampled, none exact, and the group
         // count matches an independent recount over the stored rows.
-        let rel = &ws.relations["r"];
+        let rel = ws.relation("r").expect("r is loaded");
         let mut by_tuple: BTreeMap<Tuple, Vec<WsDescriptor>> = BTreeMap::new();
         for (t, d) in rel.rows() {
             by_tuple.entry(t.clone()).or_default().push(d.clone());

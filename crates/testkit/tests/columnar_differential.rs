@@ -161,8 +161,8 @@ fn columnar_normalize_matches_reference() {
         let ws = gen_world_set(&mut rng, &cfg);
         let mixed = gen_mixed_relation(&mut rng, &ws);
         let relations = ws
-            .relations
-            .values()
+            .names()
+            .map(|n| ws.relation(n).expect("listed name"))
             .chain(std::iter::once(&mixed))
             .cloned()
             .collect::<Vec<URelation>>();

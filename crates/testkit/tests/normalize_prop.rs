@@ -38,7 +38,7 @@ fn normalization_preserves_instance_distribution() {
         }
 
         let rows =
-            |w: &maybms_core::WorldSet| -> usize { w.relations.values().map(|r| r.len()).sum() };
+            |w: &maybms_core::WorldSet| -> usize { w.relations().map(|(_, r)| r.len()).sum() };
         assert!(
             rows(&normalized) <= rows(&ws),
             "case {case}: normalization grew the representation"

@@ -48,13 +48,13 @@ fn optimized_plans_execute_identically() {
         let mut rng = Rng::new(seed);
         let ws = gen_world_set(&mut rng, &cfg);
         let plan = gen_uncertain_plan(&mut rng, &ws, 2);
-        let optimized = optimize(&plan, &ws.relations)
+        let optimized = optimize(&plan, &ws)
             .unwrap_or_else(|e| panic!("seed {seed}: optimize failed: {e}\nplan:\n{plan}"));
 
         // The optimizer must never change what a plan *means* statically…
         assert_eq!(
-            infer_schema(&plan, &ws.relations).expect("generated plans are well-typed"),
-            infer_schema(&optimized, &ws.relations)
+            infer_schema(&plan, &ws).expect("generated plans are well-typed"),
+            infer_schema(&optimized, &ws)
                 .unwrap_or_else(|e| panic!("seed {seed}: optimized plan is ill-typed: {e}")),
             "seed {seed}: output schema changed\nplan:\n{plan}\noptimized:\n{optimized}"
         );
@@ -68,7 +68,7 @@ fn optimized_plans_execute_identically() {
         );
 
         // Optimization is idempotent: a second pass finds nothing.
-        let twice = optimize(&optimized, &ws.relations).expect("re-optimization succeeds");
+        let twice = optimize(&optimized, &ws).expect("re-optimization succeeds");
         assert_eq!(
             optimized.to_string(),
             twice.to_string(),
@@ -114,7 +114,7 @@ fn certain_is_a_projection_barrier() {
     ws.insert("r", rel).unwrap();
 
     let plan = maybms_ql::certain(Plan::scan("r").project(["k", "v"])).project(["k"]);
-    let optimized = optimize(&plan, &ws.relations).unwrap();
+    let optimized = optimize(&plan, &ws).unwrap();
     let a = execute(&ws, &plan, "certain barrier, original");
     let b = execute(&ws, &optimized, "certain barrier, optimized");
     assert_eq!(a, b, "optimized:\n{optimized}");
@@ -144,8 +144,8 @@ fn swap_renames_survive_projection_pruning() {
     let plan = Plan::scan("r")
         .rename([("a", "b"), ("b", "a")])
         .project(["a"]);
-    let optimized = optimize(&plan, &ws.relations).unwrap();
-    infer_schema(&optimized, &ws.relations)
+    let optimized = optimize(&plan, &ws).unwrap();
+    infer_schema(&optimized, &ws)
         .unwrap_or_else(|e| panic!("optimized plan is ill-typed: {e}\n{optimized}"));
     let a = execute(&ws, &plan, "swap rename, original");
     let b = execute(&ws, &optimized, "swap rename, optimized");
@@ -232,15 +232,15 @@ fn cost_optimized_plans_execute_identically() {
             plan = maybms_ql::conf(plan);
         }
 
-        let rules = optimize(&plan, &ws.relations)
+        let rules = optimize(&plan, &ws)
             .unwrap_or_else(|e| panic!("seed {seed}: optimize failed: {e}\nplan:\n{plan}"));
-        let cost = optimize_with_stats(&plan, &ws.relations, &stats)
+        let cost = optimize_with_stats(&plan, &ws, &stats)
             .unwrap_or_else(|e| panic!("seed {seed}: cost phase failed: {e}\nplan:\n{plan}"));
 
-        let schema = infer_schema(&plan, &ws.relations).expect("generated plans are well-typed");
+        let schema = infer_schema(&plan, &ws).expect("generated plans are well-typed");
         assert_eq!(
             schema,
-            infer_schema(&cost, &ws.relations)
+            infer_schema(&cost, &ws)
                 .unwrap_or_else(|e| panic!("seed {seed}: cost plan is ill-typed: {e}\n{cost}")),
             "seed {seed}: output schema changed\nplan:\n{plan}\ncost:\n{cost}"
         );
@@ -257,8 +257,7 @@ fn cost_optimized_plans_execute_identically() {
             "seed {seed}: cost-optimized differs from rule-only\nplan:\n{plan}\nrules:\n{rules}\ncost:\n{cost}"
         );
 
-        let twice =
-            optimize_with_stats(&cost, &ws.relations, &stats).expect("re-optimization succeeds");
+        let twice = optimize_with_stats(&cost, &ws, &stats).expect("re-optimization succeeds");
         assert_eq!(
             cost.to_string(),
             twice.to_string(),

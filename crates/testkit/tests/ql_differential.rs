@@ -94,7 +94,7 @@ fn repair_key_induces_the_repair_distribution() {
             *got.entry(repaired.instantiate(&pick)).or_insert(0.0) += p;
         }
 
-        let expected = repair_oracle(&ws.relations["r"], &key_cols, weighted);
+        let expected = repair_oracle(ws.relation("r").expect("r is loaded"), &key_cols, weighted);
         assert_eq!(
             got.keys().collect::<Vec<_>>(),
             expected.keys().collect::<Vec<_>>(),
@@ -210,6 +210,39 @@ fn repair_key_rejects_uncertain_input() {
         matches!(res, Err(maybms_core::MayError::NotCertain(_))),
         "{res:?}"
     );
+}
+
+/// Exact `CONF` stays a probability when a key group's alternatives sum
+/// above 1 in floating point. Weights 2, 4, 3, 1 (in alternative order)
+/// give probabilities 0.2, 0.4, 0.3, 0.1, whose left-to-right f64 sum is
+/// 1.0000000000000002; the confidence of the group's key is that sum.
+#[test]
+fn exact_conf_of_a_repaired_key_group_is_at_most_one() {
+    let schema = Schema::of(&[
+        ("k", ValueType::Int),
+        ("id", ValueType::Int),
+        ("w", ValueType::Int),
+    ])
+    .expect("distinct columns");
+    let mut u = URelation::new(schema);
+    // `repair-key` numbers a group's alternatives in tuple order, so `id`
+    // fixes the weights' order.
+    for (id, w) in [(1, 2), (2, 4), (3, 3), (4, 1)] {
+        u.push(
+            Tuple::new(vec![7.into(), Value::Int(id), Value::Int(w)]),
+            maybms_core::WsDescriptor::tautology(),
+        )
+        .expect("tuple matches schema");
+    }
+    let mut ws = WorldSet::new();
+    ws.insert("forms", u).expect("certain relation");
+    let plan = conf(repair_key(Plan::scan("forms"), &["k"], Some("w")).project(["k"]));
+    let got = run(&mut ws, &plan).expect("conf runs");
+    let confs = conf_as_map(&got);
+    assert_eq!(confs.len(), 1);
+    let p = confs[&Tuple::new(vec![7.into()])];
+    assert!((0.0..=1.0).contains(&p), "conf {p:?} is not a probability");
+    assert!((p - 1.0).abs() < EPS);
 }
 
 // ---- helpers ----

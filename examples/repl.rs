@@ -586,7 +586,7 @@ impl Session {
         println!("last query:");
         println!("  wall time:       {:.3} ms", s.wall_nanos as f64 / 1e6);
         println!(
-            "  descriptor pool: {} distinct ({} spilled past inline capacity)",
+            "  descriptors:     {} minted ({} spilled past inline capacity)",
             s.descriptors, s.descriptors_spilled
         );
         println!(
@@ -668,7 +668,7 @@ impl Session {
     }
 
     fn describe(&self) {
-        for (name, rel) in &self.ws.relations {
+        for (name, rel) in self.ws.relations() {
             let cols: Vec<String> = rel
                 .schema()
                 .columns()
