@@ -128,17 +128,23 @@ fn terms_hash(terms: &[(ComponentId, u16)]) -> u64 {
     h ^ (h >> 32)
 }
 
-/// The intern index of a [`DescriptorPool`]: an open-addressing table of
-/// entry handles (`u32::MAX` = empty), probed linearly from the term-list
-/// hash and verified against the entries' terms. The table stores no keys —
-/// each descriptor's terms live once, in the pool's entries — so indexing a
-/// spilled descriptor allocates nothing, and re-indexing after compaction
-/// only rehashes term lists in place.
+/// The intern index of a [`DescriptorPool`]: an open-addressing table,
+/// probed linearly from the term-list hash, whose slots pack the hash's high
+/// half (a tag) with an entry handle ([`EMPTY`] = free). The table stores no
+/// keys — each descriptor's terms live once, in the pool's entries — so
+/// indexing a spilled descriptor allocates nothing and re-indexing after
+/// compaction only rehashes term lists in place. The tag settles almost
+/// every mismatched probe without touching the entries, and the load stays
+/// at most one half, so a miss (every fresh mint) costs a couple of slot
+/// reads.
 #[derive(Clone, Debug, Default)]
 struct IdTable {
-    slots: Vec<u32>,
+    slots: Vec<u64>,
     len: usize,
 }
+
+/// A free [`IdTable`] slot (no handle reaches `u32::MAX`).
+const EMPTY: u64 = u64::MAX;
 
 impl IdTable {
     /// An index over every entry (all must be canonical: distinct terms).
@@ -155,32 +161,35 @@ impl IdTable {
             return None;
         }
         let mask = self.slots.len() - 1;
+        let tag = h >> 32;
         let mut i = (h as usize) & mask;
         loop {
             let e = self.slots[i];
-            if e == u32::MAX {
+            if e == EMPTY {
                 return None;
             }
-            if entries[e as usize].terms() == terms {
-                return Some(DescId(e));
+            let id = e as u32;
+            if e >> 32 == tag && entries[id as usize].terms() == terms {
+                return Some(DescId(id));
             }
             i = (i + 1) & mask;
         }
     }
 
-    /// Index entry `id` (not indexed yet), growing the table at 7/8 load.
-    fn insert(&mut self, entries: &[Stored], id: DescId) {
-        if (self.len + 1) * 8 > self.slots.len() * 7 {
+    /// Index entry `id` (hash `h`, not indexed yet), doubling the table
+    /// when it would pass half full.
+    fn insert(&mut self, entries: &[Stored], h: u64, id: DescId) {
+        if (self.len + 1) * 2 > self.slots.len() {
             let mut ids: Vec<u32> = self
                 .slots
                 .iter()
-                .copied()
-                .filter(|&e| e != u32::MAX)
+                .filter(|&&e| e != EMPTY)
+                .map(|&e| e as u32)
                 .collect();
             ids.push(id.0);
             self.resize(entries, ids);
         } else {
-            self.place(entries, id.0);
+            self.place(h, id.0);
             self.len += 1;
         }
     }
@@ -189,20 +198,20 @@ impl IdTable {
     fn resize(&mut self, entries: &[Stored], ids: Vec<u32>) {
         let cap = (ids.len() * 2).next_power_of_two().max(16);
         self.slots.clear();
-        self.slots.resize(cap, u32::MAX);
+        self.slots.resize(cap, EMPTY);
         self.len = ids.len();
         for id in ids {
-            self.place(entries, id);
+            self.place(terms_hash(entries[id as usize].terms()), id);
         }
     }
 
-    fn place(&mut self, entries: &[Stored], id: u32) {
+    fn place(&mut self, h: u64, id: u32) {
         let mask = self.slots.len() - 1;
-        let mut i = (terms_hash(entries[id as usize].terms()) as usize) & mask;
-        while self.slots[i] != u32::MAX {
+        let mut i = (h as usize) & mask;
+        while self.slots[i] != EMPTY {
             i = (i + 1) & mask;
         }
-        self.slots[i] = id;
+        self.slots[i] = (h >> 32) << 32 | u64::from(id);
     }
 }
 
@@ -291,40 +300,41 @@ impl DescriptorPool {
             self.stats.intern_hits += 1;
             return DescId::TAUTOLOGY;
         }
-        if let Some(id) = self.lookup(terms) {
+        let h = terms_hash(terms);
+        if let Some(id) = self.lookup(terms, h) {
             self.stats.intern_hits += 1;
             return id;
         }
-        self.push_indexed(Stored::from_terms(terms))
+        self.push_indexed(Stored::from_terms(terms), h)
     }
 
     /// Hash-cons a pre-built entry without touching the usage counters (the
     /// shard [`DescriptorPool::absorb`] path, which must not double-count
     /// the shard's already-recorded calls).
     fn intern_stored(&mut self, stored: Stored) -> DescId {
-        match self.lookup(stored.terms()) {
+        let h = terms_hash(stored.terms());
+        match self.lookup(stored.terms(), h) {
             Some(id) => id,
-            None => self.push_indexed(stored),
+            None => self.push_indexed(stored, h),
         }
     }
 
-    /// Append a new canonical entry and index it (in the open overlay's
-    /// index, if any).
-    fn push_indexed(&mut self, stored: Stored) -> DescId {
+    /// Append a new canonical entry (terms hash `h`) and index it (in the
+    /// open overlay's index, if any).
+    fn push_indexed(&mut self, stored: Stored, h: u64) -> DescId {
         let id = DescId(self.entries.len() as u32);
         self.spilled += matches!(stored, Stored::Spilled(_)) as usize;
         self.entries.push(stored);
         match &mut self.overlay {
-            Some(o) => o.index.insert(&self.entries, id),
-            None => self.index.insert(&self.entries, id),
+            Some(o) => o.index.insert(&self.entries, h, id),
+            None => self.index.insert(&self.entries, h, id),
         };
         id
     }
 
-    /// The canonical handle of a term list, if interned (persistent index
-    /// first, then the open overlay's).
-    fn lookup(&self, terms: &[(ComponentId, u16)]) -> Option<DescId> {
-        let h = terms_hash(terms);
+    /// The canonical handle of a term list (hash `h`), if interned
+    /// (persistent index first, then the open overlay's).
+    fn lookup(&self, terms: &[(ComponentId, u16)], h: u64) -> Option<DescId> {
         self.index
             .get(&self.entries, h, terms)
             .or_else(|| self.overlay.as_ref()?.index.get(&self.entries, h, terms))
@@ -630,7 +640,7 @@ impl PoolShard<'_> {
             self.stats.intern_hits += 1;
             return DescId::TAUTOLOGY;
         }
-        if let Some(id) = self.base.lookup(terms) {
+        if let Some(id) = self.base.lookup(terms, terms_hash(terms)) {
             self.stats.intern_hits += 1;
             return id;
         }
