@@ -48,7 +48,7 @@
 //! the next pipeline breaker (`Batch::into_dense_parts`: union inputs,
 //! extension-operator inputs, the final emit) — instead of k. All sweeps
 //! (predicates, row hashing, join keys) read through [`ColView`]s, which
-//! fold the indirection per cell access. `MAYBMS_LATE_MAT=0` restores
+//! fold the indirection per cell access. [`ExecCfg::late_mat`] off restores
 //! eager per-join gathers; results are byte-identical either way.
 //!
 //! # Sideways information passing (SIP)
@@ -61,8 +61,8 @@
 //! when that node's batch is produced, rows whose key cells cannot match
 //! any build row are pruned before they flow any further. False positives
 //! only keep rows the join itself drops, and pruning is class-closed under
-//! set-semantics dedup, so results are byte-identical with `MAYBMS_SIP=0`
-//! or `1`. Filters cascade: a pruned build side seeds the next filter down
+//! set-semantics dedup, so results are byte-identical with [`ExecCfg::sip`]
+//! on or off. Filters cascade: a pruned build side seeds the next filter down
 //! a join chain.
 //!
 //! Schemas are validated once per operator when the output schema is
@@ -89,25 +89,10 @@ use maybms_core::{
 use crate::plan::Plan;
 use crate::sip::{plan_mints, shared_key_names, sip_target, SipFilter, SipStats, SIP_K};
 
-/// Environment knob gating sideways information passing: any value other
-/// than `0` (including unset) enables it.
-pub const SIP_ENV: &str = "MAYBMS_SIP";
-
-/// Environment knob gating late materialization: any value other than `0`
-/// (including unset) enables it.
-pub const LATE_MAT_ENV: &str = "MAYBMS_LATE_MAT";
-
-/// `true` unless the environment variable is set to `0` (on-by-default
-/// knob convention, matching `MAYBMS_COST_OPT`).
-fn env_on(key: &str) -> bool {
-    std::env::var(key).map_or(true, |v| v.trim() != "0")
-}
-
 /// The executor's run configuration: the thread budget plus the execution
-/// knobs. [`ExecCfg::from_env`] reads everything from the environment
-/// (`MAYBMS_THREADS`, [`SIP_ENV`], [`LATE_MAT_ENV`]); every knob
-/// combination produces byte-identical results — the knobs trade time, not
-/// answers.
+/// knobs. Every combination produces byte-identical results — the knobs
+/// trade time, not answers. [`ExecCfg::default`] is what [`run`] uses: the
+/// machine's parallelism with SIP and late materialization on.
 #[derive(Clone, Copy, Debug)]
 pub struct ExecCfg {
     /// Worker-thread budget (see [`ParCfg`]).
@@ -121,18 +106,19 @@ pub struct ExecCfg {
 }
 
 impl ExecCfg {
-    /// Read the whole configuration from the environment.
-    pub fn from_env() -> ExecCfg {
-        ExecCfg::with_par(ParCfg::from_env())
-    }
-
-    /// An explicit thread budget with the knobs from the environment.
+    /// An explicit thread budget with SIP and late materialization on.
     pub fn with_par(par: ParCfg) -> ExecCfg {
         ExecCfg {
             par,
-            sip: env_on(SIP_ENV),
-            late_mat: env_on(LATE_MAT_ENV),
+            sip: true,
+            late_mat: true,
         }
+    }
+}
+
+impl Default for ExecCfg {
+    fn default() -> Self {
+        ExecCfg::with_par(ParCfg::default())
     }
 }
 
@@ -239,9 +225,9 @@ impl<'a> EvalCtx<'a> {
 }
 
 /// Observability snapshot of one executor run, surfaced by
-/// [`run_with_stats`] (and the REPL's `\stats` meta-command). The descriptor
-/// counters validate that representation changes keep interning behavior
-/// intact — e.g. a refactor that accidentally stopped sharing scan
+/// [`run_with_stats_exec`] (and the REPL's `\stats` meta-command). The
+/// descriptor counters validate that representation changes keep interning
+/// behavior intact — e.g. a refactor that accidentally stopped sharing scan
 /// descriptors would show up as a hit-rate collapse.
 ///
 /// Every completed run also folds this snapshot into the process-wide
@@ -657,8 +643,8 @@ fn gather_par(col: &ColumnVec, idx: &[u32], workers: usize) -> ColumnVec {
 }
 
 /// Eagerly gather `idx` (virtual rows) out of a possibly-indirected column
-/// — the `MAYBMS_LATE_MAT=0` join path, which folds any indirection already
-/// present into the index before gathering.
+/// — the join path with [`ExecCfg::late_mat`] off, which folds any
+/// indirection already present into the index before gathering.
 fn gather_eager(c: &LazyCol<'_>, idx: &[u32], workers: usize) -> ColumnVec {
     match &c.ids {
         None => gather_par(&c.col, idx, workers),
@@ -679,30 +665,7 @@ fn gather_eager(c: &LazyCol<'_>, idx: &[u32], workers: usize) -> ColumnVec {
 /// independent repairs — sharing is by `Arc` identity, which is what plan
 /// `clone()` preserves.
 pub fn run(ws: &mut WorldSet, plan: &Plan) -> Result<URelation, MayError> {
-    run_with_stats(ws, plan).map(|(result, _)| result)
-}
-
-/// Like [`run`], additionally reporting the run's [`ExecStats`]. The thread
-/// budget comes from the environment ([`ParCfg::from_env`], i.e.
-/// `MAYBMS_THREADS`); [`run_with_stats_opts`] takes one explicitly.
-pub fn run_with_stats(ws: &mut WorldSet, plan: &Plan) -> Result<(URelation, ExecStats), MayError> {
-    run_with_stats_opts(ws, plan, &ParCfg::from_env())
-}
-
-/// [`run`] with an explicit parallelism configuration. The result is
-/// identical for every thread count (see the `parallel_differential` suite).
-pub fn run_with_opts(ws: &mut WorldSet, plan: &Plan, par: &ParCfg) -> Result<URelation, MayError> {
-    run_with_stats_opts(ws, plan, par).map(|(result, _)| result)
-}
-
-/// [`run_with_stats`] with an explicit parallelism configuration (the
-/// execution knobs still come from the environment).
-pub fn run_with_stats_opts(
-    ws: &mut WorldSet,
-    plan: &Plan,
-    par: &ParCfg,
-) -> Result<(URelation, ExecStats), MayError> {
-    run_with_stats_exec(ws, plan, &ExecCfg::with_par(*par))
+    run_with_exec(ws, plan, &ExecCfg::default())
 }
 
 /// [`run`] with a fully explicit execution configuration — the entry point
@@ -712,7 +675,7 @@ pub fn run_with_exec(ws: &mut WorldSet, plan: &Plan, cfg: &ExecCfg) -> Result<UR
     run_with_stats_exec(ws, plan, cfg).map(|(result, _)| result)
 }
 
-/// [`run_with_stats`] with a fully explicit execution configuration.
+/// [`run_with_exec`], additionally reporting the run's [`ExecStats`].
 pub fn run_with_stats_exec(
     ws: &mut WorldSet,
     plan: &Plan,
@@ -721,10 +684,10 @@ pub fn run_with_stats_exec(
     run_impl(ws, plan, cfg, false).map(|(result, stats, _)| (result, stats))
 }
 
-/// [`run_with_stats_opts`] with per-node tracing enabled: additionally
-/// returns the run's [`QueryTrace`] — a span per evaluated plan node (plus
-/// operator sub-phases), each annotated with wall time, rows, and the
-/// counters the node incurred. The result relation is byte-identical to the
+/// [`run_with_stats_exec`] under [`ExecCfg::with_par`], with per-node
+/// tracing enabled: additionally returns the run's [`QueryTrace`] — a span
+/// per evaluated plan node (plus operator sub-phases), each annotated with
+/// wall time, rows, and the counters the node incurred. The result relation is byte-identical to the
 /// untraced run's (the tracer only *observes*); the trace is what `EXPLAIN
 /// ANALYZE` renders and what [`QueryTrace::to_json`] exports for Perfetto.
 pub fn run_traced(

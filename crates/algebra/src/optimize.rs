@@ -662,10 +662,9 @@ const DP_MAX_LEAVES: usize = 8;
 
 /// Optimize a plan with the rule fixpoint *and* the statistics-driven
 /// cost-based phase: join-tree reordering (exact DP up to
-/// `DP_MAX_LEAVES` (8) relations, greedy beyond), distribution of
+/// `DP_MAX_LEAVES` (8) relations, greedy beyond) and distribution of
 /// union-distributing quantifiers ([`ExtProps::distributes_over_union`])
-/// over unions, and per-operator plan-time tuning
-/// ([`ExtOperator::plan_time_tuned`]).
+/// over unions.
 ///
 /// The two phases interleave to a fixpoint: cost rewrites (e.g. the
 /// schema-restoring projection a reorder inserts) re-feed the rules, whose
@@ -680,7 +679,6 @@ const DP_MAX_LEAVES: usize = 8;
 /// estimates only ever pick among equivalent shapes.
 ///
 /// [`ExtProps::distributes_over_union`]: crate::ext::ExtProps::distributes_over_union
-/// [`ExtOperator::plan_time_tuned`]: crate::ext::ExtOperator::plan_time_tuned
 pub fn optimize_with_stats(
     plan: &Plan,
     schemas: &dyn SchemaProvider,
@@ -959,8 +957,8 @@ impl<'a> CostPass<'a> {
     }
 
     /// Sweep an extension node: rewrite its inputs (memoized by `Arc`
-    /// identity), then try the two cost-gated rewrites the operator
-    /// declares — distribution over a union input, and plan-time tuning.
+    /// identity), then try the cost-gated rewrite the operator declares:
+    /// distribution over a union input.
     fn rewrite_ext(&mut self, op: Arc<dyn ExtOperator>) -> Result<Plan, MayError> {
         let key = Arc::as_ptr(&op) as *const () as usize;
         if let Some(done) = self.memo.get(&key) {
@@ -978,7 +976,7 @@ impl<'a> CostPass<'a> {
         } else {
             self.rebuild_guarded(&op, rewritten, before)
         };
-        let node = self.distribute_or_tune(node)?;
+        let node = self.distribute(node)?;
         self.memo.insert(key, node.clone());
         Ok(node)
     }
@@ -1012,12 +1010,11 @@ impl<'a> CostPass<'a> {
         }
     }
 
-    /// Apply the operator-declared, estimate-gated rewrites to an extension
+    /// Apply the operator-declared, estimate-gated rewrite to an extension
     /// node: `op(A ∪ B) → op(A) ∪ op(B)` when the operator distributes over
     /// union and the split estimates ≥5% cheaper (each side elided outright
-    /// when provably certain and duplicate-free), else the operator's
-    /// [`ExtOperator::plan_time_tuned`] self-replacement.
-    fn distribute_or_tune(&mut self, node: Plan) -> Result<Plan, MayError> {
+    /// when provably certain and duplicate-free).
+    fn distribute(&mut self, node: Plan) -> Result<Plan, MayError> {
         let Plan::Ext(op) = node else {
             return Ok(node);
         };
@@ -1040,13 +1037,6 @@ impl<'a> CostPass<'a> {
                         return Ok(candidate);
                     }
                 }
-            }
-        }
-        if let Some(first) = op.inputs().first() {
-            let (in_est, _) = self.est(first);
-            if let Some(tuned) = op.plan_time_tuned(in_est.rows, in_est.nontrivial_frac) {
-                self.rewrites += 1;
-                return Ok(tuned);
             }
         }
         Ok(Plan::Ext(op))

@@ -156,36 +156,36 @@ pub fn sip_decisions(
     out
 }
 
-/// The order plan nodes are *executed* in, as plan pre-order indices: under
-/// SIP the executor evaluates a join's build (right) side before its probe
-/// side whenever the mint guard allows, so a traced run's node spans appear
-/// in this order rather than plan pre-order. `out[i]` is the plan pre-order
+/// The order plan nodes are *executed* in under SIP (as
+/// [`run_traced`](crate::run_traced) runs), as plan pre-order indices: the
+/// executor evaluates a join's build (right) side before its probe side
+/// whenever the mint guard allows, so a traced run's node spans appear in
+/// this order rather than plan pre-order. `out[i]` is the plan pre-order
 /// index of the `i`-th executed node — consumers (e.g. `EXPLAIN ANALYZE`)
 /// use it to align execution spans with pre-order plan annotations.
-pub fn exec_order(plan: &Plan, sip: bool) -> Vec<usize> {
-    fn walk(plan: &Plan, pre: usize, sip: bool, out: &mut Vec<usize>) -> usize {
+pub fn exec_order(plan: &Plan) -> Vec<usize> {
+    fn walk(plan: &Plan, pre: usize, out: &mut Vec<usize>) -> usize {
         out.push(pre);
         if let Plan::NaturalJoin { left, right } = plan {
             let left_count = left.node_count();
             let right_count = right.node_count();
-            let swap = sip && !(plan_mints(left) && plan_mints(right));
-            if swap {
-                walk(right, pre + 1 + left_count, sip, out);
-                walk(left, pre + 1, sip, out);
+            if plan_mints(left) && plan_mints(right) {
+                walk(left, pre + 1, out);
+                walk(right, pre + 1 + left_count, out);
             } else {
-                walk(left, pre + 1, sip, out);
-                walk(right, pre + 1 + left_count, sip, out);
+                walk(right, pre + 1 + left_count, out);
+                walk(left, pre + 1, out);
             }
             return 1 + left_count + right_count;
         }
         let mut count = 1;
         for child in plan.children() {
-            count += walk(child, pre + count, sip, out);
+            count += walk(child, pre + count, out);
         }
         count
     }
     let mut out = Vec::with_capacity(plan.node_count());
-    walk(plan, 0, sip, &mut out);
+    walk(plan, 0, &mut out);
     out
 }
 

@@ -11,13 +11,14 @@
 //! `src/bin/bench_check.rs`). `MAYBMS_BENCH_TRACE=<dir>` additionally
 //! re-executes each plan-driven workload once with span tracing on and
 //! dumps a Chrome trace-event JSON per workload into `<dir>` — the timed
-//! runs themselves always execute with tracing disabled.
+//! runs themselves always execute with tracing disabled. `MAYBMS_THREADS`
+//! sets the executor's thread budget for the rows that do not pin one
+//! (default: the machine's available parallelism).
 
 use std::time::Instant;
 
 use maybms_algebra::{
-    col, lit, optimize, optimize_with_stats, run, run_traced, run_with_exec, run_with_opts,
-    ExecCfg, Plan, Predicate,
+    col, lit, optimize, optimize_with_stats, run_traced, run_with_exec, ExecCfg, Plan, Predicate,
 };
 use maybms_bench::{
     conf_chain_workload, conf_dense_workload, conf_disjoint_workload, join3_skewed_workload,
@@ -78,7 +79,7 @@ fn bench_min_runs(
 /// trace-event JSON to `<dir>/<bench>_<n>.json` (loadable in
 /// `chrome://tracing` or Perfetto). A separate untimed run, so tracing
 /// never contaminates the reported numbers.
-fn dump_trace(ws: &WorldSet, plan: &Plan, bench: &str, n: usize) {
+fn dump_trace(ws: &WorldSet, plan: &Plan, par: &ParCfg, bench: &str, n: usize) {
     let Ok(dir) = std::env::var("MAYBMS_BENCH_TRACE") else {
         return;
     };
@@ -86,8 +87,7 @@ fn dump_trace(ws: &WorldSet, plan: &Plan, bench: &str, n: usize) {
         return;
     }
     let mut ws = ws.clone();
-    let (_, _, trace) =
-        run_traced(&mut ws, plan, &ParCfg::from_env()).expect("bench workload is well-typed");
+    let (_, _, trace) = run_traced(&mut ws, plan, par).expect("bench workload is well-typed");
     let path = std::path::Path::new(&dir).join(format!("{bench}_{n}.json"));
     let written =
         std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, trace.to_json()));
@@ -96,9 +96,21 @@ fn dump_trace(ws: &WorldSet, plan: &Plan, bench: &str, n: usize) {
     }
 }
 
+/// The executor configuration of the rows that pin no thread count:
+/// `MAYBMS_THREADS` workers when set (and ≥ 1), otherwise the machine's
+/// available parallelism; SIP and late materialization on.
+fn exec_cfg_from_env() -> ExecCfg {
+    let threads = std::env::var("MAYBMS_THREADS")
+        .ok()
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .filter(|&t| t >= 1);
+    ExecCfg::with_par(threads.map_or_else(ParCfg::default, ParCfg::with_threads))
+}
+
 fn main() {
     // `cargo bench` passes flags like `--bench`; this harness ignores them.
     let quick = std::env::var("MAYBMS_BENCH_QUICK").is_ok();
+    let cfg = exec_cfg_from_env();
     let sizes: &[usize] = if quick {
         &[1_000, 10_000]
     } else {
@@ -118,7 +130,7 @@ fn main() {
     for &n in norm_sizes {
         let ws = normalization_workload(&mut Rng::new(0xBE7C), n);
         let (rows, ms) = bench_min(&ws, |ws| {
-            ws.normalize();
+            ws.normalize_with(&cfg.par);
             ws.stored("r").expect("r is loaded").len()
         });
         emit("normalize", n, rows, ms);
@@ -130,10 +142,12 @@ fn main() {
             .join(Plan::scan("r2"))
             .join(Plan::scan("r3"));
         let (rows, ms) = bench_min(&ws, |ws| {
-            run(ws, &plan).expect("join workload is well-typed").len()
+            run_with_exec(ws, &plan, &cfg)
+                .expect("join workload is well-typed")
+                .len()
         });
         emit("join3", n, rows, ms);
-        dump_trace(&ws, &plan, "join3", n);
+        dump_trace(&ws, &plan, &cfg.par, "join3", n);
     }
 
     // The columnar-specific join shape: a selection sweep on `r1` feeding a
@@ -146,10 +160,12 @@ fn main() {
             .join(Plan::scan("r2"))
             .join(Plan::scan("r3"));
         let (rows, ms) = bench_min(&ws, |ws| {
-            run(ws, &plan).expect("join workload is well-typed").len()
+            run_with_exec(ws, &plan, &cfg)
+                .expect("join workload is well-typed")
+                .len()
         });
         emit("join3_columnar", n, rows, ms);
-        dump_trace(&ws, &plan, "join3_columnar", n);
+        dump_trace(&ws, &plan, &cfg.par, "join3_columnar", n);
     }
 
     // The same 3-way join driven through the MayQL front-end: parse,
@@ -162,7 +178,9 @@ fn main() {
         let catalog = Catalog::from_world_set(&ws);
         let (rows, ms) = bench_min(&ws, |ws| {
             let plan = compile(&catalog, text).expect("bench query is valid MayQL");
-            run(ws, &plan).expect("bench query is well-typed").len()
+            run_with_exec(ws, &plan, &cfg)
+                .expect("bench query is well-typed")
+                .len()
         });
         emit("mayql_e2e", n, rows, ms);
     }
@@ -179,18 +197,20 @@ fn main() {
             .join(Plan::scan("r3"))
             .select(Predicate::lt(col("a"), lit((n / 10) as i64)));
         let (rows, ms) = bench_min(&ws, |ws| {
-            run(ws, &plan).expect("join workload is well-typed").len()
+            run_with_exec(ws, &plan, &cfg)
+                .expect("join workload is well-typed")
+                .len()
         });
         emit("join3_filtered_raw", n, rows, ms);
         let optimized = optimize(&plan, &ws).expect("plan optimizes");
         let (rows_opt, ms) = bench_min(&ws, |ws| {
-            run(ws, &optimized)
+            run_with_exec(ws, &optimized, &cfg)
                 .expect("optimized plan is well-typed")
                 .len()
         });
         assert_eq!(rows, rows_opt, "optimization changed the result size");
         emit("join3_filtered", n, rows_opt, ms);
-        dump_trace(&ws, &optimized, "join3_filtered", n);
+        dump_trace(&ws, &optimized, &cfg.par, "join3_filtered", n);
     }
 
     // The cost-based phase's headline case: the textual join order
@@ -210,7 +230,7 @@ fn main() {
             .join(Plan::scan("r3"));
         let rules_only = optimize(&plan, &ws).expect("plan optimizes");
         let (rows, ms_raw) = bench_min(&ws, |ws| {
-            run(ws, &rules_only)
+            run_with_exec(ws, &rules_only, &cfg)
                 .expect("join workload is well-typed")
                 .len()
         });
@@ -223,7 +243,7 @@ fn main() {
             "the cost phase should reorder the skewed join"
         );
         let (rows_opt, ms_opt) = bench_min(&ws, |ws| {
-            run(ws, &optimized)
+            run_with_exec(ws, &optimized, &cfg)
                 .expect("optimized plan is well-typed")
                 .len()
         });
@@ -241,7 +261,7 @@ fn main() {
             );
         }
         emit("join3_skewed", n, rows_opt, ms_opt);
-        dump_trace(&ws, &optimized, "join3_skewed", n);
+        dump_trace(&ws, &optimized, &cfg.par, "join3_skewed", n);
     }
 
     // Sideways information passing: a 5-way chain whose tail keeps one key
@@ -260,7 +280,7 @@ fn main() {
             .join(Plan::scan("r4"))
             .join(Plan::scan("r5"));
         let nosip = ExecCfg {
-            par: ParCfg::from_env(),
+            par: cfg.par,
             sip: false,
             late_mat: true,
         };
@@ -285,7 +305,7 @@ fn main() {
             );
         }
         emit("join5_selective", n, rows_sip, ms_sip);
-        dump_trace(&ws, &plan, "join5_selective", n);
+        dump_trace(&ws, &plan, &cfg.par, "join5_selective", n);
     }
 
     // A selective filter on the *last* relation of the chain: the rules
@@ -298,19 +318,21 @@ fn main() {
             .join(Plan::scan("r3"))
             .select(Predicate::lt(col("d"), lit((n / 10) as i64)));
         let (rows, ms) = bench_min(&ws, |ws| {
-            run(ws, &plan).expect("join workload is well-typed").len()
+            run_with_exec(ws, &plan, &cfg)
+                .expect("join workload is well-typed")
+                .len()
         });
         emit("selective_right_raw", n, rows, ms);
         let stats = world_set_stats(&ws);
         let optimized = optimize_with_stats(&plan, &ws, &stats).expect("plan optimizes");
         let (rows_opt, ms) = bench_min(&ws, |ws| {
-            run(ws, &optimized)
+            run_with_exec(ws, &optimized, &cfg)
                 .expect("optimized plan is well-typed")
                 .len()
         });
         assert_eq!(rows, rows_opt, "cost optimization changed the result size");
         emit("selective_right", n, rows_opt, ms);
-        dump_trace(&ws, &optimized, "selective_right", n);
+        dump_trace(&ws, &optimized, &cfg.par, "selective_right", n);
     }
 
     // A filter above `POSSIBLE` over a join: raw, the executor joins
@@ -322,30 +344,32 @@ fn main() {
         let plan = possible(Plan::scan("r1").join(Plan::scan("r2")))
             .select(Predicate::lt(col("a"), lit((n / 10) as i64)));
         let (rows, ms) = bench_min(&ws, |ws| {
-            run(ws, &plan)
+            run_with_exec(ws, &plan, &cfg)
                 .expect("possible workload is well-typed")
                 .len()
         });
         emit("possible_pushdown_raw", n, rows, ms);
         let optimized = optimize(&plan, &ws).expect("plan optimizes");
         let (rows_opt, ms) = bench_min(&ws, |ws| {
-            run(ws, &optimized)
+            run_with_exec(ws, &optimized, &cfg)
                 .expect("optimized plan is well-typed")
                 .len()
         });
         assert_eq!(rows, rows_opt, "optimization changed the result size");
         emit("possible_pushdown", n, rows_opt, ms);
-        dump_trace(&ws, &optimized, "possible_pushdown", n);
+        dump_trace(&ws, &optimized, &cfg.par, "possible_pushdown", n);
     }
 
     for &n in sizes {
         let ws = repair_workload(&mut Rng::new(0x4E9A), n);
         let plan = repair_key(Plan::scan("r"), &["k"], Some("w"));
         let (rows, ms) = bench_min(&ws, |ws| {
-            run(ws, &plan).expect("repair workload is well-typed").len()
+            run_with_exec(ws, &plan, &cfg)
+                .expect("repair workload is well-typed")
+                .len()
         });
         emit("repair_key", n, rows, ms);
-        dump_trace(&ws, &plan, "repair_key", n);
+        dump_trace(&ws, &plan, &cfg.par, "repair_key", n);
     }
 
     // Two disjoint 10-component groups (4 alternatives each) per tuple:
@@ -355,10 +379,12 @@ fn main() {
         let ws = conf_disjoint_workload(&mut Rng::new(0xC0FF), n, 2, 10, 4);
         let plan = conf(Plan::scan("r"));
         let (rows, ms) = bench_min(&ws, |ws| {
-            run(ws, &plan).expect("conf workload is well-typed").len()
+            run_with_exec(ws, &plan, &cfg)
+                .expect("conf workload is well-typed")
+                .len()
         });
         emit("conf_disjoint", n, rows, ms);
-        dump_trace(&ws, &plan, "conf_disjoint", n);
+        dump_trace(&ws, &plan, &cfg.par, "conf_disjoint", n);
     }
 
     // One connected 11-component chain per tuple: the case factorization
@@ -367,10 +393,12 @@ fn main() {
         let ws = conf_chain_workload(&mut Rng::new(0xC4A1), n, 10, 2);
         let plan = conf(Plan::scan("r"));
         let (rows, ms) = bench_min(&ws, |ws| {
-            run(ws, &plan).expect("conf workload is well-typed").len()
+            run_with_exec(ws, &plan, &cfg)
+                .expect("conf workload is well-typed")
+                .len()
         });
         emit("conf_chain", n, rows, ms);
-        dump_trace(&ws, &plan, "conf_chain", n);
+        dump_trace(&ws, &plan, &cfg.par, "conf_chain", n);
     }
 
     // (ε, δ)-approximate confidence at scales the exact solver cannot
@@ -394,7 +422,9 @@ fn main() {
         let ws = conf_chain_workload(&mut Rng::new(0xC4A1), n, 20, 2);
         let plan = conf_approx(Plan::scan("r"), 0.1, 0.05);
         let (rows, ms) = bench_min_runs(&ws, approx_runs(n), |ws| {
-            run(ws, &plan).expect("conf workload is well-typed").len()
+            run_with_exec(ws, &plan, &cfg)
+                .expect("conf workload is well-typed")
+                .len()
         });
         emit("conf_chain", n, rows, ms);
     }
@@ -403,7 +433,9 @@ fn main() {
         let ws = dense_shape(&mut Rng::new(0xDE45), n);
         let plan = conf_approx(Plan::scan("r"), 0.1, 0.05);
         let (rows, ms) = bench_min_runs(&ws, approx_runs(n), |ws| {
-            run(ws, &plan).expect("conf workload is well-typed").len()
+            run_with_exec(ws, &plan, &cfg)
+                .expect("conf workload is well-typed")
+                .len()
         });
         emit("conf_dense", n, rows, ms);
     }
@@ -451,13 +483,13 @@ fn main() {
             .join(Plan::scan("r2"))
             .join(Plan::scan("r3"));
         let (rows1, ms1) = bench_min(&ws, |ws| {
-            run_with_opts(ws, &plan, &t1)
+            run_with_exec(ws, &plan, &ExecCfg::with_par(t1))
                 .expect("join workload is well-typed")
                 .len()
         });
         emit("join3_t1", n, rows1, ms1);
         let (rows_n, ms_n) = bench_min(&ws, |ws| {
-            run_with_opts(ws, &plan, &tn)
+            run_with_exec(ws, &plan, &ExecCfg::with_par(tn))
                 .expect("join workload is well-typed")
                 .len()
         });
@@ -469,13 +501,13 @@ fn main() {
         let ws = repair_workload(&mut Rng::new(0x4E9A), n);
         let plan = repair_key(Plan::scan("r"), &["k"], Some("w"));
         let (rows1, ms1) = bench_min(&ws, |ws| {
-            run_with_opts(ws, &plan, &t1)
+            run_with_exec(ws, &plan, &ExecCfg::with_par(t1))
                 .expect("repair workload is well-typed")
                 .len()
         });
         emit("repair_key_t1", n, rows1, ms1);
         let (rows_n, ms_n) = bench_min(&ws, |ws| {
-            run_with_opts(ws, &plan, &tn)
+            run_with_exec(ws, &plan, &ExecCfg::with_par(tn))
                 .expect("repair workload is well-typed")
                 .len()
         });

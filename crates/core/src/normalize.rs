@@ -39,11 +39,11 @@ use crate::world::WorldSet;
 /// Each stored relation goes through the *columnar* pipeline
 /// ([`normalize_columnar`]) directly on its stored columns; the
 /// row-oriented [`normalize_rows`] is kept as the reference implementation
-/// the columnar path is differentially tested against. The thread budget
-/// comes from the environment ([`ParCfg::from_env`], i.e.
-/// `MAYBMS_THREADS`); [`normalize_with`] takes it explicitly.
+/// the columnar path is differentially tested against. It runs with
+/// [`ParCfg::default`]; [`normalize_with`] takes the thread budget
+/// explicitly.
 pub fn normalize(ws: &mut WorldSet) {
-    normalize_with(ws, &ParCfg::from_env());
+    normalize_with(ws, &ParCfg::default());
 }
 
 /// [`normalize`] with an explicit parallelism configuration. The result is

@@ -43,30 +43,16 @@ pub struct ParCfg {
 }
 
 impl Default for ParCfg {
+    /// The machine's available parallelism and the default morsel
+    /// threshold.
     fn default() -> Self {
-        ParCfg::from_env()
+        ParCfg::with_threads(
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        )
     }
 }
 
 impl ParCfg {
-    /// The configuration the environment asks for: `MAYBMS_THREADS` when
-    /// set (and ≥ 1), otherwise the machine's available parallelism.
-    pub fn from_env() -> Self {
-        let threads = std::env::var("MAYBMS_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&t| t >= 1)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1)
-            });
-        ParCfg {
-            threads,
-            min_rows: DEFAULT_MIN_ROWS,
-        }
-    }
-
     /// Single-threaded configuration (all stages inline).
     pub fn sequential() -> Self {
         ParCfg {

@@ -44,19 +44,14 @@ use crate::order::{run_bounds, sorted_row_ids};
 /// Name of the appended confidence column.
 pub const CONF_COLUMN: &str = "conf";
 
-/// Environment knob for the exact/sampling cutover: connected groups whose
-/// exact cost bound is ≤ this threshold are solved exactly even under
-/// `conf(eps, delta)`; larger groups are sampled. `0` forces sampling for
-/// every group. Only consulted by *approximate* conf nodes that carry no
-/// explicit override — plain exact `CONF` never samples, whatever the
-/// environment says.
-pub const CONF_EXACT_LIMIT_ENV: &str = "MAYBMS_CONF_EXACT_LIMIT";
-
-/// Default exact/sampling cutover threshold. Sampling a group costs on the
-/// order of a few hundred draws for typical (ε, δ) (e.g. ε = 0.05, δ = 0.05
-/// needs 738), each draw touching every group component — so groups whose
-/// exact bound is under a few thousand operations are cheaper to solve
-/// exactly, and exact means zero error.
+/// Default exact/sampling cutover: under `conf(eps, delta)`, connected
+/// groups whose exact cost bound is ≤ the cutover are solved exactly and
+/// larger groups are sampled (`0` samples every group; plain exact `CONF`
+/// never samples). Sampling a group costs on the order of a few hundred
+/// draws for typical (ε, δ) (e.g. ε = 0.05, δ = 0.05 needs 738), each draw
+/// touching every group component — so groups whose exact bound is under a
+/// few thousand operations are cheaper to solve exactly, and exact means
+/// zero error.
 pub const DEFAULT_CONF_EXACT_LIMIT: u64 = 4096;
 
 /// Default sampling seed for `conf(eps, delta)` nodes built from SQL (which
@@ -73,8 +68,7 @@ pub struct ApproxConf {
     pub delta: f64,
     /// Sampling seed. Equal seeds give bit-identical results.
     pub seed: u64,
-    /// Exact/sampling cutover override; `None` defers to the
-    /// [`CONF_EXACT_LIMIT_ENV`] environment knob, then
+    /// Exact/sampling cutover override; `None` means
     /// [`DEFAULT_CONF_EXACT_LIMIT`].
     pub exact_limit: Option<u64>,
 }
@@ -123,18 +117,6 @@ pub fn conf_approx_with(input: Plan, approx: ApproxConf) -> Plan {
         input,
         approx: Some(approx),
     }))
-}
-
-/// The effective exact/sampling cutover when a node carries no override:
-/// the [`CONF_EXACT_LIMIT_ENV`] environment variable if it parses as a
-/// `u64`, otherwise [`DEFAULT_CONF_EXACT_LIMIT`].
-pub fn conf_exact_limit_from_env() -> u64 {
-    parse_exact_limit(std::env::var(CONF_EXACT_LIMIT_ENV).ok().as_deref())
-}
-
-fn parse_exact_limit(raw: Option<&str>) -> u64 {
-    raw.and_then(|v| v.trim().parse::<u64>().ok())
-        .unwrap_or(DEFAULT_CONF_EXACT_LIMIT)
 }
 
 impl ExtOperator for Conf {
@@ -193,28 +175,6 @@ impl ExtOperator for Conf {
         }
     }
 
-    fn plan_time_tuned(&self, _est_input_rows: f64, _est_nontrivial_frac: f64) -> Option<Plan> {
-        // Freeze the exact/sampling cutover into approximate nodes at plan
-        // time, so execution no longer consults the environment per query.
-        // The pinned value is the same one `eval` would resolve — the
-        // environment knob (or its default), **not** anything derived from
-        // the estimates — so the cost-based plan is byte-identical to the
-        // rule-only plan on every world set: per-group exact-vs-sampling
-        // decisions cannot flip with estimation noise. Idempotent by
-        // construction: a node whose `exact_limit` is already set returns
-        // `None`.
-        match self.approx {
-            Some(a) if a.exact_limit.is_none() => Some(conf_approx_with(
-                self.input.clone(),
-                ApproxConf {
-                    exact_limit: Some(conf_exact_limit_from_env()),
-                    ..a
-                },
-            )),
-            _ => None,
-        }
-    }
-
     fn with_inputs(&self, mut inputs: Vec<Plan>) -> Option<Plan> {
         Some(Plan::Ext(Arc::new(Conf {
             input: inputs.remove(0),
@@ -240,11 +200,11 @@ impl ExtOperator for Conf {
     ) -> Result<ColumnarURelation, MayError> {
         let r = &inputs[0];
         let schema = self.output_schema(&[r.schema().clone()])?;
-        // Resolve the cutover once per evaluation: node override first, then
-        // the environment, then the default. Exact nodes ignore it entirely.
+        // Resolve the cutover once per evaluation: the node override, else
+        // the default. Exact nodes ignore it entirely.
         let mode: Option<(ApproxConf, u64)> = self
             .approx
-            .map(|a| (a, a.exact_limit.unwrap_or_else(conf_exact_limit_from_env)));
+            .map(|a| (a, a.exact_limit.unwrap_or(DEFAULT_CONF_EXACT_LIMIT)));
         // Group the rows of each distinct tuple as one contiguous run of a
         // sorted id permutation; the value columns are gathered once at the
         // end and the `conf` column is built as a raw float vector.
@@ -512,18 +472,6 @@ mod tests {
         // Width scales quadratically.
         assert_eq!(hoeffding_draws(0.05, 0.05, 0.5), 185);
         assert!(hoeffding_draws(0.5, 0.5, 1.0) >= 1);
-    }
-
-    #[test]
-    fn exact_limit_parse_falls_back_to_default() {
-        assert_eq!(parse_exact_limit(None), DEFAULT_CONF_EXACT_LIMIT);
-        assert_eq!(
-            parse_exact_limit(Some("not a number")),
-            DEFAULT_CONF_EXACT_LIMIT
-        );
-        assert_eq!(parse_exact_limit(Some("")), DEFAULT_CONF_EXACT_LIMIT);
-        assert_eq!(parse_exact_limit(Some("0")), 0);
-        assert_eq!(parse_exact_limit(Some(" 123 ")), 123);
     }
 
     #[test]

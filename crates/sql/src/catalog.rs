@@ -2,10 +2,9 @@
 //! against.
 
 use std::collections::BTreeMap;
-use std::hash::{BuildHasher, Hasher};
 
 use maybms_algebra::{SchemaProvider, StatsProvider};
-use maybms_core::{FxBuildHasher, RelationStats, Schema, WorldSet};
+use maybms_core::{RelationStats, Schema, WorldSet};
 
 /// A name → [`Schema`] map, optionally carrying per-relation statistics
 /// ([`RelationStats`]) for the cost-based optimizer phase. Semantic analysis
@@ -68,25 +67,6 @@ impl Catalog {
     /// The registered relation names, in order.
     pub fn names(&self) -> impl Iterator<Item = &str> {
         self.schemas.keys().map(String::as_str)
-    }
-
-    /// A fingerprint of everything the planner sees: relation names,
-    /// schemas, and collected statistics. The plan cache keys entries on it,
-    /// so any catalog refresh that could change a compiled plan (a new
-    /// relation, a schema change, statistics drift after a `LET`) misses the
-    /// cache instead of serving a stale plan. `BTreeMap` iteration makes the
-    /// hash order deterministic.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = FxBuildHasher::default().build_hasher();
-        for (name, schema) in &self.schemas {
-            h.write(name.as_bytes());
-            h.write(format!("{schema:?}").as_bytes());
-            if let Some(stats) = self.stats.get(name) {
-                h.write(format!("{stats:?}").as_bytes());
-            }
-            h.write_u8(0);
-        }
-        h.finish()
     }
 }
 

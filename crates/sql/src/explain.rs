@@ -16,8 +16,7 @@
 use std::fmt;
 
 use maybms_algebra::{
-    estimate_preorder, exec_order, run_traced, sip_decisions, ExecCfg, ExecStats, Plan,
-    StatsProvider,
+    estimate_preorder, exec_order, run_traced, sip_decisions, ExecStats, Plan, StatsProvider,
 };
 use maybms_core::{metrics, ParCfg, QueryTrace, Span, SpanKind, WorldSet};
 
@@ -39,11 +38,13 @@ pub struct Explain {
     /// statistics to estimate from.
     pub estimates: Option<Vec<f64>>,
     /// Plan-time sideways-information-passing decisions per node of
-    /// `optimized`, in pre-order: `sip=bloom(keys, …)` on joins whose
-    /// estimated build side qualifies, `""` elsewhere. Empty when
-    /// `MAYBMS_SIP=0` (the runtime gate additionally checks the *actual*
-    /// build-side row count, so a rendered decision is the plan's intent,
-    /// not a promise).
+    /// `optimized`, in pre-order, for a run with [`ExecCfg::sip`] on (as
+    /// [`maybms_algebra::run`] runs): `sip=bloom(keys, …)` on joins whose
+    /// estimated build side qualifies, `""` elsewhere. The runtime gate
+    /// additionally checks the *actual* build-side row count, so a rendered
+    /// decision is the plan's intent, not a promise.
+    ///
+    /// [`ExecCfg::sip`]: maybms_algebra::ExecCfg::sip
     pub sip: Vec<String>,
 }
 
@@ -54,11 +55,7 @@ pub fn explain(catalog: &Catalog, query: &Query) -> Result<Explain, SqlError> {
     let estimates = catalog
         .has_stats()
         .then(|| estimate_preorder(&optimized, catalog, catalog));
-    let sip = if ExecCfg::from_env().sip {
-        sip_decisions(&optimized, catalog, catalog)
-    } else {
-        Vec::new()
-    };
+    let sip = sip_decisions(&optimized, catalog, catalog);
     Ok(Explain {
         lowered,
         optimized,
@@ -121,11 +118,6 @@ pub struct ExplainAnalyze {
     /// Estimated output rows per node of `optimized`, in pre-order;
     /// `None` when the catalog has no statistics.
     pub estimates: Option<Vec<f64>>,
-    /// Whether sideways information passing was enabled for the traced run.
-    /// SIP evaluates join build sides before probe sides, so it changes the
-    /// *order* node spans appear in the trace — estimate alignment has to
-    /// replay that order ([`exec_order`]).
-    pub sip_enabled: bool,
 }
 
 /// Compile `query`, execute it on `ws` with tracing enabled, and collect
@@ -144,29 +136,13 @@ pub fn explain_analyze(
     let estimates = catalog
         .has_stats()
         .then(|| estimate_preorder(&optimized, catalog, catalog));
-    explain_analyze_plan(ws, optimized, estimates, query.span(), par)
-}
-
-/// The execution half of `EXPLAIN ANALYZE`, for callers that already hold a
-/// compiled plan — notably the REPL's plan cache, which passes the *cached*
-/// estimates (with any pending one-shot q-error correction applied) so the
-/// rendered `est_rows=` reflect what the planner would use next time.
-pub fn explain_analyze_plan(
-    ws: &mut WorldSet,
-    optimized: Plan,
-    estimates: Option<Vec<f64>>,
-    span: crate::Span,
-    par: &ParCfg,
-) -> Result<ExplainAnalyze, SqlError> {
-    let sip_enabled = ExecCfg::from_env().sip;
     let (_result, stats, trace) = run_traced(ws, &optimized, par)
-        .map_err(|e| SqlError::new(span, format!("execution failed: {e}")))?;
+        .map_err(|e| SqlError::new(query.span(), format!("execution failed: {e}")))?;
     let analyzed = ExplainAnalyze {
         optimized,
         trace,
         stats,
         estimates,
-        sip_enabled,
     };
     // Grade the estimates against the observed row counts while we have
     // both in hand: one q-error histogram sample per analyzed plan node.
@@ -193,62 +169,32 @@ fn fmt_est(est: f64) -> String {
 }
 
 impl ExplainAnalyze {
-    /// The *node* spans of the trace, in execution order, but only when the
-    /// span tree matches the plan tree node-for-node (a shared extension
-    /// subtree executed once diverges — annotation then degrades to none
-    /// rather than mislabeling nodes).
-    fn node_spans(&self) -> Option<Vec<&Span>> {
+    /// Pair each node span with its estimate, in *execution* order (the
+    /// order the rendered span tree prints). The traced run has SIP on, which
+    /// evaluates join build sides before probe sides, so execution order
+    /// differs from plan pre-order — [`exec_order`] maps between them.
+    /// Empty when estimates are absent or the span tree does not match the
+    /// plan tree node-for-node (a shared extension subtree executed once
+    /// diverges — annotation then degrades to none rather than mislabeling
+    /// nodes).
+    fn node_estimates(&self) -> Vec<(f64, u64)> {
+        let Some(ests) = &self.estimates else {
+            return Vec::new();
+        };
         let nodes: Vec<&Span> = self
             .trace
             .spans
             .iter()
             .filter(|s| s.kind == SpanKind::Node)
             .collect();
-        (nodes.len() == self.optimized.node_count()).then_some(nodes)
-    }
-
-    /// Pair each node span with its estimate, in *execution* order (the
-    /// order the rendered span tree prints). Under SIP, execution order
-    /// differs from plan pre-order — [`exec_order`] maps between them.
-    /// Empty when estimates are absent or the span tree diverges.
-    fn node_estimates(&self) -> Vec<(f64, u64)> {
-        let Some(ests) = &self.estimates else {
-            return Vec::new();
-        };
-        let Some(nodes) = self.node_spans() else {
-            return Vec::new();
-        };
-        if nodes.len() != ests.len() {
+        if nodes.len() != self.optimized.node_count() || nodes.len() != ests.len() {
             return Vec::new();
         }
-        let order = exec_order(&self.optimized, self.sip_enabled);
-        order
+        exec_order(&self.optimized)
             .iter()
             .zip(nodes)
             .map(|(&pre, s)| (ests[pre], s.rows_out))
             .collect()
-    }
-
-    /// Pair each plan node's estimate with its observed output rows, in
-    /// *plan pre-order* — the alignment the plan cache's q-error feedback
-    /// consumes. Empty when estimates are absent or the span tree diverges
-    /// from the plan tree.
-    pub fn node_observations(&self) -> Vec<(f64, u64)> {
-        let Some(ests) = &self.estimates else {
-            return Vec::new();
-        };
-        let Some(nodes) = self.node_spans() else {
-            return Vec::new();
-        };
-        if nodes.len() != ests.len() {
-            return Vec::new();
-        }
-        let order = exec_order(&self.optimized, self.sip_enabled);
-        let mut out = vec![(0.0, 0u64); nodes.len()];
-        for (&pre, s) in order.iter().zip(nodes) {
-            out[pre] = (ests[pre], s.rows_out);
-        }
-        out
     }
 }
 

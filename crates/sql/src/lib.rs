@@ -49,7 +49,6 @@
 //! ```
 
 pub mod ast;
-pub mod cache;
 pub mod catalog;
 pub mod explain;
 pub mod lexer;
@@ -59,13 +58,10 @@ pub mod span;
 pub mod unparse;
 
 pub use ast::{Query, Statement};
-pub use cache::{normalize_query, CachedPlan, PlanCache, DEFAULT_PLAN_CACHE_CAP};
 pub use catalog::Catalog;
-pub use explain::{explain, explain_analyze, explain_analyze_plan, Explain, ExplainAnalyze};
+pub use explain::{explain, explain_analyze, Explain, ExplainAnalyze};
 pub use parser::{parse_query, parse_script, parse_statement};
-pub use planner::{
-    analyze, compile, compile_unoptimized, cost_opt_enabled, lower, optimize_plan, COST_OPT_ENV,
-};
+pub use planner::{analyze, compile, compile_unoptimized, lower, optimize_plan};
 pub use span::{Span, SqlError};
 pub use unparse::{schema_of, to_mayql};
 

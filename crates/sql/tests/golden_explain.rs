@@ -45,7 +45,6 @@ fn explain_text(query: &str) -> String {
 /// into the probe subtree.
 #[test]
 fn explain_pushes_selection_below_the_join() {
-    std::env::set_var(maybms_algebra::SIP_ENV, "1");
     let text = explain_text("SELECT POSSIBLE city FROM census, homes WHERE name = 'Smith'");
     let expected = "\
 lowered plan:
@@ -145,11 +144,6 @@ optimized plan:
 /// `sip=bloom(ssn)` decision.
 #[test]
 fn explain_shows_estimates_and_reorders_with_stats() {
-    // This golden pins the *cost-optimized* shape; neutralize an ambient
-    // MAYBMS_COST_OPT=0 or MAYBMS_SIP=0 (the CI matrix runs the suite all
-    // ways).
-    std::env::set_var(maybms_sql::COST_OPT_ENV, "1");
-    std::env::set_var(maybms_algebra::SIP_ENV, "1");
     let mut catalog = census_catalog();
     let rel = |rows: u64, nontrivial: f64, cols: &[(&str, f64)]| RelationStats {
         rows,

@@ -85,11 +85,6 @@ fn mask_times(s: &str) -> String {
 
 #[test]
 fn explain_analyze_renders_the_census_conf_join() {
-    // This golden pins the *cost-optimized, SIP-on* shape; neutralize an
-    // ambient MAYBMS_COST_OPT=0 or MAYBMS_SIP=0 (the CI matrix runs the
-    // suite all ways).
-    std::env::set_var(maybms_sql::COST_OPT_ENV, "1");
-    std::env::set_var(maybms_algebra::SIP_ENV, "1");
     let mut ws = census_world();
     let catalog = Catalog::from_world_set(&ws);
     let query = parse_query("SELECT CONF city FROM census, homes WHERE name = 'Smith'")

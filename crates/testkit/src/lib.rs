@@ -11,14 +11,15 @@
 //! derived seeds and reports the failing seed for exact replay.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use maybms_algebra::{col, lit, naive, CmpOp, Operand, Plan, Predicate};
+use maybms_algebra::{col, lit, naive, run_with_exec, CmpOp, ExecCfg, Operand, Plan, Predicate};
 use maybms_core::rng::Rng;
 use maybms_core::{
-    Component, MayError, Relation, Schema, Tuple, URelation, Value, ValueType, WorldSet,
+    Component, MayError, ParCfg, Relation, Schema, Tuple, URelation, Value, ValueType, WorldSet,
     WsDescriptor,
 };
-use maybms_ql::{certain, conf, conf_approx, possible, repair_key};
+use maybms_ql::{certain, conf, conf_approx, conf_approx_with, possible, repair_key, ApproxConf};
 
 /// Upper bound on enumerated worlds in tests; generated inputs stay far
 /// below it.
@@ -56,13 +57,160 @@ impl Default for GenConfig {
 const COL_POOL: [&str; 4] = ["a", "b", "c", "d"];
 
 /// ε the generators use for `conf(eps, delta)` nodes. Modest on purpose:
-/// under a forced-sampling cutover (`MAYBMS_CONF_EXACT_LIMIT=0`) every
-/// generated group is estimated, and this budget needs only a few dozen
-/// draws per group.
+/// under [`force_sampling`] every generated group is estimated, and this
+/// budget needs only a few dozen draws per group.
 pub const GEN_CONF_EPS: f64 = 0.25;
 
 /// δ the generators use for `conf(eps, delta)` nodes.
 pub const GEN_CONF_DELTA: f64 = 0.1;
+
+/// A thread budget that forces every parallel code path even on tiny
+/// generated inputs: `min_rows = 1` disables the morsel threshold.
+pub fn forced_par(threads: usize) -> ParCfg {
+    ParCfg {
+        threads,
+        min_rows: 1,
+    }
+}
+
+/// The execution configurations the differential suites sweep: threads
+/// {1, 4} ([`forced_par`]) × SIP {off, on} × late materialization
+/// {off, on}. The first is the all-off single-threaded baseline.
+pub fn exec_cfgs() -> Vec<ExecCfg> {
+    let mut cfgs = Vec::with_capacity(8);
+    for threads in [1, 4] {
+        for sip in [false, true] {
+            for late_mat in [false, true] {
+                cfgs.push(ExecCfg {
+                    par: forced_par(threads),
+                    sip,
+                    late_mat,
+                });
+            }
+        }
+    }
+    cfgs
+}
+
+/// Run `plan` on a clone of `ws` under every configuration of
+/// [`exec_cfgs`] and return the baseline's result with its post-run world
+/// set. Panics, naming `context`, unless every configuration agrees byte
+/// for byte: the same result and post-run world set (component minting
+/// included), or the same error message. When the plan holds generated
+/// `conf(eps, delta)` nodes, its [`force_sampling`] variant is swept the
+/// same way and must succeed exactly when the plan does.
+pub fn run_every_cfg(
+    ws: &WorldSet,
+    plan: &Plan,
+    context: &str,
+) -> Result<(URelation, WorldSet), MayError> {
+    let outcome = sweep(ws, plan, context);
+    if let Some(sampled) = force_sampling(plan) {
+        let sampled_outcome = sweep(ws, &sampled, &format!("{context} (sampled)"));
+        assert_eq!(
+            outcome.is_ok(),
+            sampled_outcome.is_ok(),
+            "{context}: forced sampling changed whether the plan runs\nplan:\n{plan}"
+        );
+    }
+    outcome
+}
+
+/// The configuration sweep of [`run_every_cfg`] for one plan.
+fn sweep(ws: &WorldSet, plan: &Plan, context: &str) -> Result<(URelation, WorldSet), MayError> {
+    let mut runs = exec_cfgs().into_iter().map(|cfg| {
+        let mut ws = ws.clone();
+        let outcome = run_with_exec(&mut ws, plan, &cfg).map(|r| (r, ws));
+        (cfg, outcome)
+    });
+    let (_, baseline) = runs.next().expect("the sweep is non-empty");
+    for (cfg, got) in runs {
+        let label = format!(
+            "{context}: threads={} sip={} late_mat={}",
+            cfg.par.threads, cfg.sip, cfg.late_mat
+        );
+        match (&baseline, &got) {
+            (Ok((a, ws_a)), Ok((b, ws_b))) => {
+                assert_eq!(a, b, "{label}: result differs from baseline\nplan:\n{plan}");
+                assert_eq!(
+                    ws_a, ws_b,
+                    "{label}: post-run world set differs (component minting)\nplan:\n{plan}"
+                );
+            }
+            (Err(e1), Err(e2)) => assert_eq!(
+                e1.to_string(),
+                e2.to_string(),
+                "{label}: error differs from baseline\nplan:\n{plan}"
+            ),
+            (a, b) => panic!(
+                "{label}: baseline and variant disagree on success\n\
+                 baseline: {:?}\nvariant: {:?}\nplan:\n{plan}",
+                a.as_ref().map(|(r, _)| r),
+                b.as_ref().map(|(r, _)| r)
+            ),
+        }
+    }
+    baseline
+}
+
+/// `plan` with every generated `conf(eps, delta)` node ([`GEN_CONF_EPS`],
+/// [`GEN_CONF_DELTA`], default seed) rebuilt with its exact/sampling
+/// cutover at 0, so every group is sampled; `None` when the plan holds no
+/// such node. Shared (`Arc`-identical) extension subtrees stay shared.
+pub fn force_sampling(plan: &Plan) -> Option<Plan> {
+    let label = format!("conf(eps={GEN_CONF_EPS}, delta={GEN_CONF_DELTA})");
+    sampled(plan, &label, &mut BTreeMap::new())
+}
+
+/// Worker for [`force_sampling`]: the rewritten subtree, or `None` when it
+/// holds no generated `conf(eps, delta)` node. `memo` maps extension nodes
+/// (by `Arc` address) to their rewrite.
+fn sampled(plan: &Plan, label: &str, memo: &mut BTreeMap<usize, Option<Plan>>) -> Option<Plan> {
+    let mut one = |input: &Plan| sampled(input, label, memo);
+    match plan {
+        Plan::Scan(_) => None,
+        Plan::Select { input, predicate } => one(input).map(|i| i.select(predicate.clone())),
+        Plan::Project { input, columns } => one(input).map(|i| i.project(columns.clone())),
+        Plan::Rename { input, renames } => one(input).map(|i| i.rename(renames.clone())),
+        Plan::NaturalJoin { left, right } | Plan::Union { left, right } => {
+            let (l, r) = (one(left), one(right));
+            if l.is_none() && r.is_none() {
+                return None;
+            }
+            let l = l.unwrap_or_else(|| (**left).clone());
+            let r = r.unwrap_or_else(|| (**right).clone());
+            Some(match plan {
+                Plan::Union { .. } => l.union(r),
+                _ => l.join(r),
+            })
+        }
+        Plan::Ext(op) => {
+            let key = Arc::as_ptr(op) as *const () as usize;
+            if let Some(done) = memo.get(&key) {
+                return done.clone();
+            }
+            let old = op.inputs();
+            let new: Vec<Option<Plan>> = old.iter().map(|p| sampled(p, label, memo)).collect();
+            let mut inputs = new
+                .iter()
+                .zip(&old)
+                .map(|(n, o)| n.clone().unwrap_or_else(|| (*o).clone()));
+            let done = if op.describe() == label {
+                let approx = ApproxConf {
+                    exact_limit: Some(0),
+                    ..ApproxConf::new(GEN_CONF_EPS, GEN_CONF_DELTA)
+                };
+                inputs.next().map(|i| conf_approx_with(i, approx))
+            } else if new.iter().any(Option::is_some) {
+                op.with_inputs(inputs.collect())
+            } else {
+                None
+            };
+            memo.insert(key, done.clone());
+            done
+        }
+    }
+}
 
 /// Generate a small random world set: a few weighted components and a few
 /// integer relations whose rows carry random (consistent) descriptors.

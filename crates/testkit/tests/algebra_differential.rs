@@ -2,11 +2,13 @@
 //! positive-relational-algebra plans, the WSD-level executor's result,
 //! instantiated in each world, must equal the naive single-world algebra run
 //! inside that world. This is the central soundness property of evaluating
-//! the algebra directly on the decomposition.
+//! the algebra directly on the decomposition. Every plan runs under every
+//! execution configuration of the testkit sweep, which must agree byte for
+//! byte.
 
 use maybms_algebra::{naive, run};
 use maybms_core::rng::Rng;
-use maybms_testkit::{gen_plan, gen_world_set, GenConfig, WORLD_LIMIT};
+use maybms_testkit::{gen_plan, gen_world_set, run_every_cfg, GenConfig, WORLD_LIMIT};
 
 const CASES: u64 = 300;
 
@@ -18,8 +20,7 @@ fn wsd_evaluation_matches_per_world_oracle() {
         let ws = gen_world_set(&mut rng, &cfg);
         let plan = gen_plan(&mut rng, &ws, 3);
 
-        let mut ws_eval = ws.clone();
-        let result = run(&mut ws_eval, &plan)
+        let (result, _) = run_every_cfg(&ws, &plan, &format!("case {case}"))
             .unwrap_or_else(|e| panic!("case {case}: eval failed: {e}\nplan: {plan:?}"));
 
         for (pick, db, _prob) in ws.enumerate(WORLD_LIMIT).expect("small world set") {

@@ -21,14 +21,13 @@
 
 use std::collections::BTreeMap;
 
-use maybms_algebra::{run, run_with_opts, run_with_stats_opts, Plan};
+use maybms_algebra::{run, run_with_exec, run_with_stats_exec, ExecCfg, Plan};
 use maybms_core::rng::Rng;
 use maybms_core::{
-    connected_groups, Component, ParCfg, Schema, Tuple, URelation, Value, ValueType, WorldSet,
-    WsDescriptor,
+    connected_groups, Component, Schema, Tuple, URelation, Value, ValueType, WorldSet, WsDescriptor,
 };
 use maybms_ql::{conf, conf_approx_with, ApproxConf};
-use maybms_testkit::{conf_oracle, per_world_results};
+use maybms_testkit::{conf_oracle, forced_par, per_world_results};
 
 /// Seeds per shape; the issue's acceptance bar is ≥ 50.
 const SEEDS: u64 = 60;
@@ -47,13 +46,6 @@ fn forced(seed: u64) -> ApproxConf {
         delta: DELTA,
         seed,
         exact_limit: Some(0),
-    }
-}
-
-fn par(threads: usize) -> ParCfg {
-    ParCfg {
-        threads,
-        min_rows: 1,
     }
 }
 
@@ -197,8 +189,10 @@ fn sampling_is_bit_identical_across_thread_counts() {
             let ws = shaped_world(&mut rng, shape);
             let plan = conf_approx_with(Plan::scan("r"), forced(seed));
 
-            let r1 = run_with_opts(&mut ws.clone(), &plan, &par(1)).expect("threads=1 runs");
-            let r4 = run_with_opts(&mut ws.clone(), &plan, &par(4)).expect("threads=4 runs");
+            let r1 = run_with_exec(&mut ws.clone(), &plan, &ExecCfg::with_par(forced_par(1)))
+                .expect("threads=1 runs");
+            let r4 = run_with_exec(&mut ws.clone(), &plan, &ExecCfg::with_par(forced_par(4)))
+                .expect("threads=4 runs");
             assert_eq!(
                 r1, r4,
                 "{shape:?} seed {seed}: results differ across thread counts"
@@ -249,10 +243,10 @@ fn cutover_boundary_is_bitwise_exact_then_samples() {
                 exact_limit: Some(max_cost),
                 ..forced(seed)
             };
-            let (r_at, stats_at) = run_with_stats_opts(
+            let (r_at, stats_at) = run_with_stats_exec(
                 &mut ws.clone(),
                 &conf_approx_with(Plan::scan("r"), at),
-                &par(1),
+                &ExecCfg::with_par(forced_par(1)),
             )
             .expect("boundary run");
             assert_eq!(
@@ -273,10 +267,10 @@ fn cutover_boundary_is_bitwise_exact_then_samples() {
                 exact_limit: Some(max_cost - 1),
                 ..forced(seed)
             };
-            let (r_below, stats_below) = run_with_stats_opts(
+            let (r_below, stats_below) = run_with_stats_exec(
                 &mut ws.clone(),
                 &conf_approx_with(Plan::scan("r"), below),
-                &par(1),
+                &ExecCfg::with_par(forced_par(1)),
             )
             .expect("below-boundary run");
             assert!(
@@ -304,7 +298,9 @@ fn seeds_reproduce_and_stats_account_for_groups() {
         let ws = shaped_world(&mut rng, Shape::Dense);
         let plan = conf_approx_with(Plan::scan("r"), forced(seed));
 
-        let (a, stats) = run_with_stats_opts(&mut ws.clone(), &plan, &par(1)).expect("first run");
+        let (a, stats) =
+            run_with_stats_exec(&mut ws.clone(), &plan, &ExecCfg::with_par(forced_par(1)))
+                .expect("first run");
         let b = run(&mut ws.clone(), &plan).expect("second run");
         assert_eq!(a, b, "seed {seed}: same seed must reproduce exactly");
 
@@ -370,10 +366,10 @@ fn mixed_exact_and_sampled_groups_within_one_tuple() {
             seed,
             exact_limit: Some(16), // 2 ≤ 16 < 256
         };
-        let (got, stats) = run_with_stats_opts(
+        let (got, stats) = run_with_stats_exec(
             &mut ws.clone(),
             &conf_approx_with(Plan::scan("r"), approx),
-            &par(1),
+            &ExecCfg::with_par(forced_par(1)),
         )
         .expect("mixed run");
         assert_eq!(stats.conf.exact_groups, 1, "seed {seed}");

@@ -3,10 +3,12 @@
 //! executor must agree with the enumerate-all-worlds oracle on random plans
 //! and uncertainty constructs, and the columnar normalization path must
 //! produce byte-identical rows to the row-oriented reference rewrite.
+//! Executor cases run under every execution configuration of the testkit
+//! sweep.
 
 use std::collections::BTreeMap;
 
-use maybms_algebra::{naive, run};
+use maybms_algebra::naive;
 use maybms_core::columnar::{ColumnarURelation, StrPool};
 use maybms_core::normalize::{normalize_relation, normalize_rows};
 use maybms_core::rng::Rng;
@@ -14,7 +16,7 @@ use maybms_core::{DescriptorPool, Tuple, URelation, Value};
 use maybms_ql::{certain, conf, possible};
 use maybms_testkit::{
     certain_oracle, conf_oracle, gen_mixed_relation, gen_plan, gen_world_set, per_world_results,
-    possible_oracle, GenConfig, WORLD_LIMIT,
+    possible_oracle, run_every_cfg, GenConfig, WORLD_LIMIT,
 };
 
 const CASES: u64 = 120;
@@ -79,8 +81,7 @@ fn columnar_executor_matches_world_oracle() {
         let ws = gen_world_set(&mut rng, &cfg);
         let plan = gen_plan(&mut rng, &ws, 3);
 
-        let mut ws_eval = ws.clone();
-        let result = run(&mut ws_eval, &plan)
+        let (result, _) = run_every_cfg(&ws, &plan, &format!("case {case}"))
             .unwrap_or_else(|e| panic!("case {case}: eval failed: {e}\nplan: {plan:?}"));
 
         for (pick, db, _prob) in ws.enumerate(WORLD_LIMIT).expect("small world set") {
@@ -106,11 +107,12 @@ fn columnar_uncertainty_ops_match_oracles() {
         let inner = gen_plan(&mut rng, &ws, 2);
         let worlds = per_world_results(&ws, &inner).expect("oracle evaluates");
         let schema = worlds.first().expect("≥ 1 world").0.schema().clone();
+        let context = format!("case {case}");
 
         match case % 3 {
             0 => {
-                let mut ws_eval = ws.clone();
-                let got = run(&mut ws_eval, &possible(inner.clone())).expect("possible runs");
+                let (got, _) =
+                    run_every_cfg(&ws, &possible(inner.clone()), &context).expect("possible runs");
                 assert!(got.is_certain());
                 assert_eq!(
                     as_relation(&got),
@@ -119,8 +121,8 @@ fn columnar_uncertainty_ops_match_oracles() {
                 );
             }
             1 => {
-                let mut ws_eval = ws.clone();
-                let got = run(&mut ws_eval, &certain(inner.clone())).expect("certain runs");
+                let (got, _) =
+                    run_every_cfg(&ws, &certain(inner.clone()), &context).expect("certain runs");
                 assert!(got.is_certain());
                 assert_eq!(
                     as_relation(&got),
@@ -129,8 +131,8 @@ fn columnar_uncertainty_ops_match_oracles() {
                 );
             }
             _ => {
-                let mut ws_eval = ws.clone();
-                let got = run(&mut ws_eval, &conf(inner.clone())).expect("conf runs");
+                let (got, _) =
+                    run_every_cfg(&ws, &conf(inner.clone()), &context).expect("conf runs");
                 let expected = conf_oracle(&worlds);
                 let got = conf_as_map(&got);
                 assert_eq!(

@@ -18,14 +18,15 @@
 //! *set* a u-relation denotes, not its row order. Component minting stays
 //! deterministic across the rewrite (repair-key inputs are never reordered
 //! in a way its internal canonical sort doesn't absorb), so descriptors
-//! are compared exactly, not merely isomorphically. A failing case prints
-//! its seed and both plan trees for exact replay.
+//! are compared exactly, not merely isomorphically. Every plan runs under
+//! every execution configuration of the testkit sweep. A failing case
+//! prints its seed and both plan trees for exact replay.
 
-use maybms_algebra::{infer_schema, optimize, optimize_with_stats, run, Plan};
+use maybms_algebra::{infer_schema, optimize, optimize_with_stats, Plan};
 use maybms_core::rng::Rng;
 use maybms_core::{world_set_stats, URelation, WorldSet};
 use maybms_sql::{compile, compile_unoptimized, Catalog};
-use maybms_testkit::{gen_query, gen_uncertain_plan, gen_world_set, GenConfig};
+use maybms_testkit::{gen_query, gen_uncertain_plan, gen_world_set, run_every_cfg, GenConfig};
 
 /// ≥ 150 generated plans, per the optimizer issue's acceptance bar.
 const PLAN_CASES: usize = 160;
@@ -33,8 +34,8 @@ const PLAN_CASES: usize = 160;
 const QUERY_CASES: usize = 120;
 
 fn execute(ws: &WorldSet, plan: &Plan, context: &str) -> URelation {
-    let mut ws = ws.clone();
-    let mut result = run(&mut ws, plan).unwrap_or_else(|e| panic!("{context}: {e}"));
+    let (mut result, _) =
+        run_every_cfg(ws, plan, context).unwrap_or_else(|e| panic!("{context}: {e}"));
     result.dedup();
     result
 }

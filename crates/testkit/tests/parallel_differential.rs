@@ -8,10 +8,11 @@
 //! oracle for that contract:
 //!
 //! * **plan execution** — generated plans mixing the positive relational
-//!   algebra with the uncertainty constructs run at `threads = 1` and
-//!   `threads = 4` (with the morsel threshold forced to 1 row so every
-//!   parallel code path fires on tiny inputs) and must produce equal
-//!   u-relations AND equal post-run world sets (component minting parity);
+//!   algebra with the uncertainty constructs run under the testkit sweep
+//!   (`threads = 1` and `threads = 4` with the morsel threshold forced to
+//!   1 row so every parallel code path fires on tiny inputs, crossed with
+//!   SIP and late materialization) and must produce equal u-relations AND
+//!   equal post-run world sets (component minting parity);
 //! * **normalization** — `normalize_with` agrees across thread counts on
 //!   randomized world sets;
 //! * **pool sharding** — descriptor shards built over a shared base absorb
@@ -24,14 +25,14 @@
 //!
 //! A failing case prints its seed for exact replay.
 
-use maybms_algebra::{run_with_opts, Plan};
+use maybms_algebra::{run_with_exec, ExecCfg, Plan};
 use maybms_core::parallel::DEFAULT_MIN_ROWS;
 use maybms_core::rng::Rng;
 use maybms_core::{
     ComponentId, DescriptorPool, ParCfg, Schema, Tuple, URelation, Value, ValueType, WorldSet,
 };
 use maybms_ql::{conf, possible, repair_key};
-use maybms_testkit::{gen_uncertain_plan, gen_world_set, GenConfig};
+use maybms_testkit::{forced_par, gen_uncertain_plan, gen_world_set, run_every_cfg, GenConfig};
 
 /// ≥ 150 generated plans, per the issue's acceptance bar.
 const PLAN_CASES: usize = 160;
@@ -41,43 +42,6 @@ const NORMALIZE_CASES: usize = 50;
 /// Per-shard record of `(local handle, the terms it must keep resolving to)`.
 type MintedTerms = Vec<(maybms_core::DescId, Vec<(ComponentId, u16)>)>;
 
-/// A configuration that forces every parallel code path even on the tiny
-/// generated inputs: `min_rows = 1` disables the morsel threshold.
-fn par(threads: usize) -> ParCfg {
-    ParCfg {
-        threads,
-        min_rows: 1,
-    }
-}
-
-fn run_both(ws: &WorldSet, plan: &Plan, seed: u64) {
-    let mut ws1 = ws.clone();
-    let mut ws4 = ws.clone();
-    let r1 = run_with_opts(&mut ws1, plan, &par(1));
-    let r4 = run_with_opts(&mut ws4, plan, &par(4));
-    match (r1, r4) {
-        (Ok(a), Ok(b)) => {
-            assert_eq!(
-                a, b,
-                "seed {seed}: results differ across thread counts\nplan:\n{plan}"
-            );
-            assert_eq!(
-                ws1, ws4,
-                "seed {seed}: post-run world sets differ (component minting)\nplan:\n{plan}"
-            );
-        }
-        (Err(e1), Err(e4)) => assert_eq!(
-            e1.to_string(),
-            e4.to_string(),
-            "seed {seed}: errors differ across thread counts\nplan:\n{plan}"
-        ),
-        (r1, r4) => panic!(
-            "seed {seed}: one thread count failed, the other did not\n\
-             threads=1: {r1:?}\nthreads=4: {r4:?}\nplan:\n{plan}"
-        ),
-    }
-}
-
 #[test]
 fn generated_plans_agree_across_thread_counts() {
     let cfg = GenConfig::default();
@@ -86,7 +50,7 @@ fn generated_plans_agree_across_thread_counts() {
         let mut rng = Rng::new(seed);
         let ws = gen_world_set(&mut rng, &cfg);
         let plan = gen_uncertain_plan(&mut rng, &ws, 2);
-        run_both(&ws, &plan, seed);
+        run_every_cfg(&ws, &plan, &format!("seed {seed}")).ok();
     }
 }
 
@@ -102,8 +66,8 @@ fn normalize_agrees_across_thread_counts() {
         let ws = gen_world_set(&mut rng, &cfg);
         let mut ws1 = ws.clone();
         let mut ws4 = ws.clone();
-        ws1.normalize_with(&par(1));
-        ws4.normalize_with(&par(4));
+        ws1.normalize_with(&forced_par(1));
+        ws4.normalize_with(&forced_par(4));
         assert_eq!(ws1, ws4, "seed {seed}: normalize differs across threads");
     }
 }
@@ -207,8 +171,8 @@ fn threshold_crossing_workload_agrees() {
     let mut ws4 = ws.clone();
     let p1 = ParCfg::with_threads(1);
     let p4 = ParCfg::with_threads(4);
-    let a = run_with_opts(&mut ws1, &plan, &p1).expect("threads=1 run succeeds");
-    let b = run_with_opts(&mut ws4, &plan, &p4).expect("threads=4 run succeeds");
+    let a = run_with_exec(&mut ws1, &plan, &ExecCfg::with_par(p1)).expect("threads=1 run succeeds");
+    let b = run_with_exec(&mut ws4, &plan, &ExecCfg::with_par(p4)).expect("threads=4 run succeeds");
     assert_eq!(a, b, "threshold-crossing run differs across thread counts");
     assert_eq!(ws1, ws4, "component minting differs across thread counts");
 

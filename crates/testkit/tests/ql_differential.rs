@@ -1,16 +1,18 @@
 //! Differential tests for the uncertainty constructs: `repair-key`,
 //! `possible`, `certain`, and `conf` are compared against brute-force
-//! aggregation over the enumerated worlds.
+//! aggregation over the enumerated worlds. Every plan runs under every
+//! execution configuration of the testkit sweep, which must agree byte for
+//! byte.
 
 use std::collections::BTreeMap;
 
-use maybms_algebra::{run, Plan};
+use maybms_algebra::Plan;
 use maybms_core::rng::Rng;
 use maybms_core::{Relation, Schema, Tuple, URelation, Value, ValueType, WorldSet};
 use maybms_ql::{certain, conf, possible, repair_key};
 use maybms_testkit::{
     certain_oracle, conf_oracle, gen_plan, gen_world_set, per_world_results, possible_oracle,
-    GenConfig, WORLD_LIMIT,
+    run_every_cfg, GenConfig, WORLD_LIMIT,
 };
 
 const CASES: u64 = 150;
@@ -33,8 +35,9 @@ fn extraction_operators_match_world_aggregation() {
             .schema()
             .clone();
 
-        let mut ws_eval = ws.clone();
-        let got_possible = run(&mut ws_eval, &possible(inner.clone())).expect("possible runs");
+        let context = format!("case {case}");
+        let (got_possible, _) =
+            run_every_cfg(&ws, &possible(inner.clone()), &context).expect("possible runs");
         assert!(got_possible.is_certain());
         assert_eq!(
             as_relation(&got_possible),
@@ -42,8 +45,8 @@ fn extraction_operators_match_world_aggregation() {
             "case {case}: possible disagrees\nplan: {inner:?}"
         );
 
-        let mut ws_eval = ws.clone();
-        let got_certain = run(&mut ws_eval, &certain(inner.clone())).expect("certain runs");
+        let (got_certain, _) =
+            run_every_cfg(&ws, &certain(inner.clone()), &context).expect("certain runs");
         assert!(got_certain.is_certain());
         assert_eq!(
             as_relation(&got_certain),
@@ -51,8 +54,7 @@ fn extraction_operators_match_world_aggregation() {
             "case {case}: certain disagrees\nplan: {inner:?}"
         );
 
-        let mut ws_eval = ws.clone();
-        let got_conf = run(&mut ws_eval, &conf(inner.clone())).expect("conf runs");
+        let (got_conf, _) = run_every_cfg(&ws, &conf(inner.clone()), &context).expect("conf runs");
         let expected = conf_oracle(&worlds);
         let got = conf_as_map(&got_conf);
         assert_eq!(
@@ -84,8 +86,8 @@ fn repair_key_induces_the_repair_distribution() {
             if weighted { Some("w") } else { None },
         );
 
-        let mut ws_eval = ws.clone();
-        let repaired = run(&mut ws_eval, &plan).expect("repair-key runs");
+        let (repaired, ws_eval) =
+            run_every_cfg(&ws, &plan, &format!("case {case}")).expect("repair-key runs");
 
         // Distribution over repaired instances, from the WSD result.
         let mut got: BTreeMap<Relation, f64> = BTreeMap::new();
@@ -134,7 +136,8 @@ fn conf_sums_to_one_per_repaired_key_group() {
         .expect("certain relation is valid");
 
     let plan = conf(repair_key(Plan::scan("r"), &["k"], Some("w")));
-    let result = run(&mut ws, &plan).expect("conf over repair-key runs");
+    let (result, _) =
+        run_every_cfg(&ws, &plan, "weighted groups").expect("conf over repair-key runs");
 
     let mut per_group: BTreeMap<Value, f64> = BTreeMap::new();
     for (t, _) in result.rows() {
@@ -177,7 +180,8 @@ fn shared_repair_subtree_evaluates_once() {
 
     let repaired = repair_key(Plan::scan("r"), &["k"], None);
     let self_join = repaired.clone().join(repaired.clone());
-    let result = run(&mut ws, &conf(self_join)).expect("conf over self-join runs");
+    let (result, ws) =
+        run_every_cfg(&ws, &conf(self_join), "shared repair").expect("conf over self-join runs");
 
     // One key group => exactly one component minted, despite two occurrences.
     assert_eq!(ws.components.len(), 1);
@@ -205,7 +209,11 @@ fn repair_key_rejects_uncertain_input() {
     .expect("tuple matches schema");
     ws.insert("r0", u).expect("descriptor is valid");
 
-    let res = run(&mut ws, &repair_key(Plan::scan("r0"), &["a"], None));
+    let res = run_every_cfg(
+        &ws,
+        &repair_key(Plan::scan("r0"), &["a"], None),
+        "uncertain input",
+    );
     assert!(
         matches!(res, Err(maybms_core::MayError::NotCertain(_))),
         "{res:?}"
@@ -237,7 +245,7 @@ fn exact_conf_of_a_repaired_key_group_is_at_most_one() {
     let mut ws = WorldSet::new();
     ws.insert("forms", u).expect("certain relation");
     let plan = conf(repair_key(Plan::scan("forms"), &["k"], Some("w")).project(["k"]));
-    let got = run(&mut ws, &plan).expect("conf runs");
+    let (got, _) = run_every_cfg(&ws, &plan, "sum above one").expect("conf runs");
     let confs = conf_as_map(&got);
     assert_eq!(confs.len(), 1);
     let p = confs[&Tuple::new(vec![7.into()])];

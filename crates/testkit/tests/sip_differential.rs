@@ -4,15 +4,16 @@
 //! The executor's contract for both features is *byte-identical output*:
 //! a Bloom filter is under-approximating (false positives only keep rows
 //! the join drops anyway) and rowid-indirection gathers are a pure
-//! representation change, so flipping `MAYBMS_SIP`, `MAYBMS_LATE_MAT`, or
-//! the thread count must never change a u-relation or the post-run world
+//! representation change, so flipping [`ExecCfg::sip`], [`ExecCfg::late_mat`],
+//! or the thread count must never change a u-relation or the post-run world
 //! set (component minting parity included). These tests are the oracle:
 //!
 //! * **generated join plans** — 120 randomized plans, each rooted at a
 //!   natural join over generated subtrees mixing selections, projections,
 //!   renames, unions, and the uncertainty operators, run under every
-//!   `{sip} × {late_mat} × {threads 1, 4}` combination and compared
-//!   byte-for-byte against the all-off single-threaded baseline;
+//!   `{sip} × {late_mat} × {threads 1, 4}` combination (the testkit
+//!   sweep) and compared byte-for-byte against the all-off
+//!   single-threaded baseline;
 //! * **selective join chain** — a deterministic 5-way chain with a
 //!   1%-selective tail (the shape SIP exists for: the filter cascades
 //!   down the chain), large enough that filters actually build and prune,
@@ -20,78 +21,15 @@
 //!
 //! A failing case prints its seed for exact replay.
 
-use maybms_algebra::{run_with_exec, run_with_stats_exec, ExecCfg, Plan};
+use maybms_algebra::{run_with_stats_exec, ExecCfg, Plan};
 use maybms_core::rng::Rng;
-use maybms_core::{ParCfg, Schema, Tuple, URelation, Value, ValueType, WorldSet, WsDescriptor};
-use maybms_testkit::{gen_plan, gen_uncertain_plan, gen_world_set, GenConfig};
+use maybms_core::{Schema, Tuple, URelation, Value, ValueType, WorldSet, WsDescriptor};
+use maybms_testkit::{
+    forced_par, gen_plan, gen_uncertain_plan, gen_world_set, run_every_cfg, GenConfig,
+};
 
 /// Per the issue's acceptance bar.
 const JOIN_PLAN_CASES: usize = 120;
-
-/// `min_rows = 1` disables the morsel threshold so the parallel code paths
-/// fire even on tiny generated inputs.
-fn par(threads: usize) -> ParCfg {
-    ParCfg {
-        threads,
-        min_rows: 1,
-    }
-}
-
-/// Every `{sip} × {late_mat} × {threads}` combination under test.
-fn all_cfgs() -> Vec<ExecCfg> {
-    let mut cfgs = Vec::new();
-    for &sip in &[false, true] {
-        for &late_mat in &[false, true] {
-            for &threads in &[1, 4] {
-                cfgs.push(ExecCfg {
-                    par: par(threads),
-                    sip,
-                    late_mat,
-                });
-            }
-        }
-    }
-    cfgs
-}
-
-/// Run `plan` under every configuration and demand byte-identical results
-/// and post-run world sets against the all-off single-threaded baseline
-/// (or identical error messages, when the generated plan is ill-typed).
-fn run_all(ws: &WorldSet, plan: &Plan, seed: u64) {
-    let baseline_cfg = ExecCfg {
-        par: par(1),
-        sip: false,
-        late_mat: false,
-    };
-    let mut ws_base = ws.clone();
-    let baseline = run_with_exec(&mut ws_base, plan, &baseline_cfg);
-    for cfg in all_cfgs() {
-        let mut ws_var = ws.clone();
-        let got = run_with_exec(&mut ws_var, plan, &cfg);
-        let label = format!(
-            "seed {seed}: sip={} late_mat={} threads={}",
-            cfg.sip, cfg.late_mat, cfg.par.threads
-        );
-        match (&baseline, &got) {
-            (Ok(a), Ok(b)) => {
-                assert_eq!(a, b, "{label}: results differ from baseline\nplan:\n{plan}");
-                assert_eq!(
-                    ws_base, ws_var,
-                    "{label}: post-run world sets differ (component minting)\nplan:\n{plan}"
-                );
-            }
-            (Err(e1), Err(e2)) => assert_eq!(
-                e1.to_string(),
-                e2.to_string(),
-                "{label}: errors differ from baseline\nplan:\n{plan}"
-            ),
-            _ => panic!(
-                "{label}: baseline and variant disagree on success\n\
-                 baseline: {baseline:?}\nvariant: {got:?}\nplan:\n{plan}"
-            ),
-        }
-    }
-}
 
 /// 120 generated plans, each rooted at a natural join (the operator SIP
 /// instruments), with generated subtrees on both sides — uncertainty
@@ -114,7 +52,7 @@ fn generated_join_plans_agree_across_sip_and_late_mat() {
         };
         let right = gen_plan(&mut rng, &ws, 2);
         let plan = left.join(right);
-        run_all(&ws, &plan, seed);
+        run_every_cfg(&ws, &plan, &format!("seed {seed}")).ok();
     }
 }
 
@@ -151,12 +89,12 @@ fn selective_join_chain_agrees_and_prunes() {
         .join(Plan::scan("r3"))
         .join(Plan::scan("r4"))
         .join(Plan::scan("r5"));
-    run_all(&ws, &plan, 0x0051_1000);
+    run_every_cfg(&ws, &plan, "selective chain").expect("chain evaluates");
 
     // And the filters actually fired: with SIP on, the 1%-selective tail
     // must have pruned the overwhelming majority of probe rows.
     let cfg = ExecCfg {
-        par: par(2),
+        par: forced_par(2),
         sip: true,
         late_mat: true,
     };

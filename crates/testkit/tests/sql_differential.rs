@@ -7,29 +7,32 @@
 //!   parser; the parsed plan must be equivalent and both must execute to
 //!   the same u-relation.
 //! * **unparse/reparse roundtrip** — random plans (including the
-//!   uncertainty operators) are pretty-printed with `to_mayql`, re-parsed,
-//!   and re-printed: the text must be a fixpoint and both plans must
-//!   execute identically.
+//!   uncertainty operators), and the optimizer's output for each, are
+//!   pretty-printed with `to_mayql`, re-parsed, and re-printed: the text
+//!   must be a fixpoint and both plans must execute identically.
 //!
 //! Plan equivalence is compared through the canonical MayQL printing, which
 //! is injective on the minimal plan shapes the planner emits. Execution
 //! comparison runs each plan on its own clone of the world set: extension
 //! operators mint components deterministically, so equivalent plans produce
-//! identical descriptors, not merely isomorphic ones. A failing case prints
-//! its seed (and query text) for exact replay.
+//! identical descriptors, not merely isomorphic ones — under every
+//! execution configuration of the testkit sweep. A failing case prints its
+//! seed (and query text) for exact replay.
 
-use maybms_algebra::run;
+use maybms_algebra::Plan;
 use maybms_core::rng::Rng;
 use maybms_core::{URelation, WorldSet};
-use maybms_sql::{compile_unoptimized, to_mayql, Catalog};
-use maybms_testkit::{gen_plan, gen_query, gen_world_set, wrap_uncertainty, GenConfig};
+use maybms_sql::{compile, compile_unoptimized, to_mayql, Catalog};
+use maybms_testkit::{
+    gen_plan, gen_query, gen_world_set, run_every_cfg, wrap_uncertainty, GenConfig,
+};
 
 /// ≥ 100 cases each, per the acceptance bar of the MayQL front-end issue.
 const CASES: usize = 120;
 
-fn execute(ws: &WorldSet, plan: &maybms_algebra::Plan, context: &str) -> URelation {
-    let mut ws = ws.clone();
-    let mut result = run(&mut ws, plan).unwrap_or_else(|e| panic!("{context}: {e}"));
+fn execute(ws: &WorldSet, plan: &Plan, context: &str) -> URelation {
+    let (mut result, _) =
+        run_every_cfg(ws, plan, context).unwrap_or_else(|e| panic!("{context}: {e}"));
     // Sort-and-dedup so the comparison is order-insensitive (evaluation is
     // deterministic, but equivalence shouldn't depend on that).
     result.dedup();
@@ -67,6 +70,14 @@ fn parsed_text_matches_hand_built_plan() {
     }
 }
 
+/// Optimized approximate `CONF` queries the roundtrip also prints: the
+/// cost phase leaves the node's default cutover in place, so the optimized
+/// node keeps its `CONF(eps, delta)` text.
+const APPROX_CONF_QUERIES: [&str; 2] = [
+    "SELECT CONF(0.1, 0.05) * FROM r0",
+    "SELECT CONF(0.25, 0.1) * FROM r1, r2",
+];
+
 #[test]
 fn unparse_reparse_roundtrip() {
     let cfg = GenConfig::default();
@@ -77,22 +88,40 @@ fn unparse_reparse_roundtrip() {
         let plan = gen_plan(&mut rng, &ws, 3);
         let plan = wrap_uncertainty(&mut rng, &ws, plan);
         let catalog = Catalog::from_world_set(&ws);
-
         let text = to_mayql(&catalog, &plan)
             .unwrap_or_else(|e| panic!("seed {seed}: unparse failed: {e}\nplan:\n{plan}"));
-        let reparsed = compile_unoptimized(&catalog, &text)
-            .unwrap_or_else(|e| panic!("seed {seed}: {text}\n{}", e.render(&text)));
-        let text2 = to_mayql(&catalog, &reparsed)
-            .unwrap_or_else(|e| panic!("seed {seed}: re-unparse failed: {e}"));
-        assert_eq!(
-            text2, text,
-            "seed {seed}: printing is not a fixpoint (plan shapes diverged)"
-        );
-
-        let a = execute(&ws, &plan, &format!("seed {seed}, original: {text}"));
-        let b = execute(&ws, &reparsed, &format!("seed {seed}, reparsed: {text}"));
-        assert_eq!(a, b, "seed {seed}: execution differs for: {text}");
+        roundtrip(&ws, &catalog, &plan, &format!("seed {seed}"));
+        // The optimizer's output for the same text, and for the fixed
+        // approximate-CONF queries, prints too.
+        for text in std::iter::once(text.as_str()).chain(APPROX_CONF_QUERIES) {
+            let optimized = compile(&catalog, text)
+                .unwrap_or_else(|e| panic!("seed {seed}: {text}\n{}", e.render(text)));
+            roundtrip(
+                &ws,
+                &catalog,
+                &optimized,
+                &format!("seed {seed}, optimized {text}"),
+            );
+        }
     }
+}
+
+/// Print `plan`, re-parse the text, and demand that printing is a fixpoint
+/// and that both plans execute identically.
+fn roundtrip(ws: &WorldSet, catalog: &Catalog, plan: &Plan, context: &str) {
+    let text = to_mayql(catalog, plan)
+        .unwrap_or_else(|e| panic!("{context}: unparse failed: {e}\nplan:\n{plan}"));
+    let reparsed = compile_unoptimized(catalog, &text)
+        .unwrap_or_else(|e| panic!("{context}: {text}\n{}", e.render(&text)));
+    let text2 = to_mayql(catalog, &reparsed)
+        .unwrap_or_else(|e| panic!("{context}: re-unparse failed: {e}"));
+    assert_eq!(
+        text2, text,
+        "{context}: printing is not a fixpoint (plan shapes diverged)"
+    );
+    let a = execute(ws, plan, &format!("{context}, original: {text}"));
+    let b = execute(ws, &reparsed, &format!("{context}, reparsed: {text}"));
+    assert_eq!(a, b, "{context}: execution differs for: {text}");
 }
 
 /// The census repair with WEIGHT BY, text vs. hand-built, on deterministic

@@ -1,10 +1,10 @@
 //! Differential tests for the observability layer: tracing must be a pure
-//! observer. A traced run (`run_traced`) and an untraced run
-//! (`run_with_stats_opts`) of the same plan on clones of the same world
-//! set must produce byte-identical u-relations and identical post-run
-//! world sets — at `threads = 1` and `threads = 4` with the morsel
-//! threshold forced to 1 row, so span bookkeeping is exercised under
-//! every parallel code path. The trace itself must be structurally sound:
+//! observer. A traced run (`run_traced`) of a plan must produce the
+//! u-relation and post-run world set that untraced runs of the same plan
+//! on clones of the same world set produce under every configuration of
+//! the testkit sweep — traced at `threads = 1` and `threads = 4` with the
+//! morsel threshold forced to 1 row, so span bookkeeping is exercised
+//! under every parallel code path. The trace itself must be structurally sound:
 //! one span per plan node (at least — operators add `·` sub-phases), a
 //! root whose `rows_out` is the result cardinality, and counter
 //! attribution that never loses mass (a child's inclusive counters never
@@ -12,21 +12,12 @@
 //!
 //! A failing case prints its seed for exact replay.
 
-use maybms_algebra::{run_traced, run_with_stats_opts};
+use maybms_algebra::run_traced;
 use maybms_core::obs::SpanKind;
 use maybms_core::rng::Rng;
-use maybms_core::ParCfg;
-use maybms_testkit::{gen_uncertain_plan, gen_world_set, GenConfig};
+use maybms_testkit::{forced_par, gen_uncertain_plan, gen_world_set, run_every_cfg, GenConfig};
 
 const CASES: u64 = 120;
-
-/// Force every parallel code path even on tiny generated inputs.
-fn par(threads: usize) -> ParCfg {
-    ParCfg {
-        threads,
-        min_rows: 1,
-    }
-}
 
 #[test]
 fn traced_and_untraced_runs_are_byte_identical() {
@@ -35,11 +26,10 @@ fn traced_and_untraced_runs_are_byte_identical() {
         let mut rng = Rng::new(0x7AACE ^ case);
         let ws = gen_world_set(&mut rng, &cfg);
         let plan = gen_uncertain_plan(&mut rng, &ws, 3);
+        let (plain, ws_plain) = run_every_cfg(&ws, &plan, &format!("case {case}"))
+            .unwrap_or_else(|e| panic!("case {case}: untraced run failed: {e}"));
         for threads in [1, 4] {
-            let cfg = par(threads);
-            let mut ws_plain = ws.clone();
-            let (plain, _) = run_with_stats_opts(&mut ws_plain, &plan, &cfg)
-                .unwrap_or_else(|e| panic!("case {case}: untraced run failed: {e}"));
+            let cfg = forced_par(threads);
             let mut ws_traced = ws.clone();
             let (traced, _, trace) = run_traced(&mut ws_traced, &plan, &cfg)
                 .unwrap_or_else(|e| panic!("case {case}: traced run failed: {e}"));
@@ -72,7 +62,7 @@ fn traces_cover_every_plan_node_and_attribute_consistently() {
         let ws = gen_world_set(&mut rng, &cfg);
         let plan = gen_uncertain_plan(&mut rng, &ws, 3);
         let mut ws_eval = ws.clone();
-        let (result, _, trace) = run_traced(&mut ws_eval, &plan, &par(2))
+        let (result, _, trace) = run_traced(&mut ws_eval, &plan, &forced_par(2))
             .unwrap_or_else(|e| panic!("case {case}: traced run failed: {e}"));
 
         // Shared Ext subtrees are evaluated once and cached, so the span

@@ -26,23 +26,13 @@
 //! Meta commands: `\d` lists the relations, `\stats` shows the last query's
 //! executor statistics (descriptor-pool occupancy and hit rates,
 //! string-dictionary size, elided dedups, parallelism, confidence-solver
-//! and SIP counters, plan-cache hit rate), `\timing` toggles per-statement
-//! wall-clock reporting, `\trace on|off` toggles span tracing for
-//! subsequent queries, `\trace last <file>` exports the last captured trace
-//! as Chrome trace-event JSON (open it in `chrome://tracing` or Perfetto),
-//! `\metrics` prints the process-wide metrics registry, `\set threads N`
-//! changes the session's worker budget (initially `MAYBMS_THREADS` or the
-//! machine's parallelism), `\set conf_exact_limit N` changes the cost
-//! cutover above which an approximate `CONF(eps, delta)` switches from
-//! exact per-group computation to sampling (initially
-//! `MAYBMS_CONF_EXACT_LIMIT` or 4096), `\set cost_opt on|off` toggles the
-//! statistics-driven cost-based plan phase (initially `MAYBMS_COST_OPT`,
-//! default on), `\set sip on|off` toggles Bloom-filter sideways information
-//! passing (initially `MAYBMS_SIP`, default on), `\set late_mat on|off`
-//! toggles late materialization in join pipelines (initially
-//! `MAYBMS_LATE_MAT`, default on), `\set plan_cache on|off` toggles the
-//! session's LRU cache of optimized plans, `\q` quits, `\help` shows the
-//! cheat sheet. A `\set` with an unknown knob or a malformed value is a
+//! and SIP counters), `\timing` toggles per-statement wall-clock
+//! reporting, `\trace on|off` toggles span tracing for subsequent queries,
+//! `\trace last <file>` exports the last captured trace as Chrome
+//! trace-event JSON (open it in `chrome://tracing` or Perfetto), `\metrics`
+//! prints the process-wide metrics registry, `\set threads N` changes the
+//! session's worker budget (initially the machine's parallelism) — the
+//! session's only knob — `\q` quits, `\help` shows the cheat sheet. A `\set` with an unknown knob or a malformed value is a
 //! hard error (it lists the valid knobs) — in batch mode it stops the run
 //! with a non-zero exit instead of silently continuing with stale settings.
 //!
@@ -58,18 +48,13 @@ use std::io::{BufRead, Write};
 use std::process::ExitCode;
 use std::time::Instant;
 
-use maybms::algebra::{
-    estimate_preorder, run_traced, run_with_stats_opts, ExecCfg, ExecStats, StatsProvider,
-    LATE_MAT_ENV, SIP_ENV,
-};
+use maybms::algebra::{run_traced, run_with_stats_exec, ExecCfg, ExecStats, Plan};
 use maybms::core::{
     metrics, ParCfg, QueryTrace, Relation, Schema, Tuple, URelation, Value, ValueType, WorldSet,
 };
-use maybms::ql::{conf_exact_limit_from_env, CONF_EXACT_LIMIT_ENV};
 use maybms::sql::lexer::{lex, TokenKind};
 use maybms::sql::{
-    cost_opt_enabled, explain, explain_analyze, explain_analyze_plan, parse_statement, Catalog,
-    PlanCache, Statement, COST_OPT_ENV,
+    explain, explain_analyze, lower, optimize_plan, parse_statement, Catalog, Query, Statement,
 };
 
 fn main() -> ExitCode {
@@ -151,11 +136,6 @@ struct Session {
     threads: usize,
     timing: bool,
     trace: bool,
-    /// Whether compiled plans are served from / inserted into `plan_cache`
-    /// (`\set plan_cache on|off`). The cache itself persists across
-    /// toggles, so flipping the knob off and on keeps warm entries.
-    plan_cache_on: bool,
-    plan_cache: PlanCache,
     last_stats: Option<ExecStats>,
     last_trace: Option<QueryTrace>,
 }
@@ -164,11 +144,9 @@ impl Session {
     fn new(ws: WorldSet) -> Session {
         Session {
             ws,
-            threads: ParCfg::from_env().threads,
+            threads: ParCfg::default().threads,
             timing: false,
             trace: false,
-            plan_cache_on: true,
-            plan_cache: PlanCache::default(),
             last_stats: None,
             last_trace: None,
         }
@@ -301,14 +279,14 @@ impl Session {
         let par = ParCfg::with_threads(self.threads);
         match stmt {
             Statement::Query(query) => {
-                let (plan, _) = self.compile_cached(&catalog, query, src)?;
+                let plan = compile(&catalog, query, src)?;
                 let result = self.run_plan(&plan, &par)?;
                 print!("{result}");
                 println!("({} rows)", result.len());
                 Ok(())
             }
             Statement::Let { name, query, .. } => {
-                let (plan, _) = self.compile_cached(&catalog, query, src)?;
+                let plan = compile(&catalog, query, src)?;
                 let result = self.run_plan(&plan, &par)?;
                 let rows = result.len();
                 self.ws
@@ -322,27 +300,7 @@ impl Session {
                 analyze: false,
                 ..
             } => {
-                let mut ex = explain(&catalog, query).map_err(|e| e.render(src))?;
-                // Route the estimates through the plan cache so a pending
-                // one-shot q-error correction (from a previous EXPLAIN
-                // ANALYZE of this query) shows up in the rendered
-                // `est_rows=` — the planner's corrected beliefs, not its
-                // original ones.
-                if self.plan_cache_on {
-                    let key = query_text(query, src);
-                    match self.plan_cache.lookup(&catalog, key) {
-                        Some(hit) => {
-                            ex.optimized = hit.plan;
-                            ex.estimates = hit.estimates;
-                        }
-                        None => self.plan_cache.insert(
-                            &catalog,
-                            key,
-                            ex.optimized.clone(),
-                            ex.estimates.clone(),
-                        ),
-                    }
-                }
+                let ex = explain(&catalog, query).map_err(|e| e.render(src))?;
                 print!("{ex}");
                 Ok(())
             }
@@ -355,24 +313,8 @@ impl Session {
                 // components, materialized pools) must not leak into the
                 // session world set.
                 let mut scratch = self.ws.clone();
-                let ex = if self.plan_cache_on {
-                    let (plan, ests) = self.compile_cached(&catalog, query, src)?;
-                    explain_analyze_plan(&mut scratch, plan, ests, query.span(), &par)
-                        .map_err(|e| e.render(src))?
-                } else {
-                    explain_analyze(&catalog, &mut scratch, query, &par)
-                        .map_err(|e| e.render(src))?
-                };
-                // Feed the observed per-node row counts back: the cached
-                // entry's next estimates are scaled by the measured
-                // q-error, once.
-                if self.plan_cache_on {
-                    let observed = ex.node_observations();
-                    if !observed.is_empty() {
-                        self.plan_cache
-                            .note_observed(&catalog, query_text(query, src), &observed);
-                    }
-                }
+                let ex = explain_analyze(&catalog, &mut scratch, query, &par)
+                    .map_err(|e| e.render(src))?;
                 print!("{ex}");
                 self.last_stats = Some(ex.stats);
                 self.last_trace = Some(ex.trace);
@@ -381,48 +323,9 @@ impl Session {
         }
     }
 
-    /// Compile one query to its optimized plan — through the session plan
-    /// cache when it is on. The cache key is the query's source slice, so
-    /// `SELECT …`, `LET x = SELECT …`, and `EXPLAIN [ANALYZE] SELECT …` of
-    /// the same query text share one entry. Returns the plan and its
-    /// pre-order cardinality estimates (corrected by the latest observed
-    /// run when a one-shot q-error correction was pending).
-    #[allow(clippy::type_complexity)]
-    fn compile_cached(
-        &mut self,
-        catalog: &Catalog,
-        query: &maybms::sql::Query,
-        src: &str,
-    ) -> Result<(maybms::algebra::Plan, Option<Vec<f64>>), String> {
-        if self.plan_cache_on {
-            if let Some(hit) = self.plan_cache.lookup(catalog, query_text(query, src)) {
-                return Ok((hit.plan, hit.estimates));
-            }
-        }
-        let (plan, _) = maybms::sql::lower(catalog, query).map_err(|e| e.render(src))?;
-        let plan =
-            maybms::sql::optimize_plan(catalog, &plan, query.span()).map_err(|e| e.render(src))?;
-        let estimates = catalog
-            .has_stats()
-            .then(|| estimate_preorder(&plan, catalog, catalog));
-        if self.plan_cache_on {
-            self.plan_cache.insert(
-                catalog,
-                query_text(query, src),
-                plan.clone(),
-                estimates.clone(),
-            );
-        }
-        Ok((plan, estimates))
-    }
-
     /// Run a compiled plan, traced or not per the session's `\trace` flag,
     /// updating the last-query state either way.
-    fn run_plan(
-        &mut self,
-        plan: &maybms::algebra::Plan,
-        par: &ParCfg,
-    ) -> Result<URelation, String> {
+    fn run_plan(&mut self, plan: &Plan, par: &ParCfg) -> Result<URelation, String> {
         if self.trace {
             let (result, stats, trace) =
                 run_traced(&mut self.ws, plan, par).map_err(|e| format!("error: {e}\n"))?;
@@ -434,7 +337,7 @@ impl Session {
             self.last_trace = Some(trace);
             Ok(result)
         } else {
-            let (result, stats) = run_with_stats_opts(&mut self.ws, plan, par)
+            let (result, stats) = run_with_stats_exec(&mut self.ws, plan, &ExecCfg::with_par(*par))
                 .map_err(|e| format!("error: {e}\n"))?;
             self.last_stats = Some(stats);
             Ok(result)
@@ -501,72 +404,27 @@ impl Session {
     /// `\set <knob> <value>`. Unknown knobs and malformed values are hard
     /// errors listing the valid knobs — never a silent no-op.
     fn set_cmd(&mut self, cmd: &str) -> Result<(), String> {
-        const VALID: &str = "valid knobs: threads <N>, conf_exact_limit <N>, \
-             cost_opt on|off, sip on|off, late_mat on|off, plan_cache on|off";
+        const VALID: &str = "valid knobs: threads <N>";
         let mut parts = cmd.split_whitespace().skip(1);
-        let knob = parts.next();
-        let raw = parts.next();
-        let number = raw.and_then(|v| v.parse::<usize>().ok());
-        match (knob, raw, number) {
-            (Some("threads"), Some(_), Some(n)) if n >= 1 => {
-                self.threads = n;
-                println!("threads = {n}");
+        match (parts.next(), parts.next()) {
+            (Some("threads"), Some(v)) => match v.parse::<usize>() {
+                Ok(n) if n >= 1 => {
+                    self.threads = n;
+                    println!("threads = {n}");
+                }
+                _ => {
+                    return Err(format!(
+                        "error: \\set threads: invalid value `{v}`; {VALID}\n"
+                    ))
+                }
+            },
+            (Some("threads"), None) => {
+                return Err(format!("error: \\set threads: missing value; {VALID}\n"));
             }
-            (Some("conf_exact_limit"), Some(_), Some(n)) => {
-                // Read back through the env so the session's queries and
-                // the `\set` knob agree on one source of truth.
-                std::env::set_var(CONF_EXACT_LIMIT_ENV, n.to_string());
-                println!("conf_exact_limit = {}", conf_exact_limit_from_env());
-            }
-            (Some("cost_opt"), Some(v @ ("on" | "off")), _) => {
-                // Same one-source-of-truth pattern: the planner reads the
-                // env on every compile, so toggling it here takes effect
-                // for the very next statement.
-                std::env::set_var(COST_OPT_ENV, if v == "on" { "1" } else { "0" });
-                println!(
-                    "cost_opt = {}",
-                    if cost_opt_enabled() { "on" } else { "off" }
-                );
-            }
-            (Some("sip"), Some(v @ ("on" | "off")), _) => {
-                std::env::set_var(SIP_ENV, if v == "on" { "1" } else { "0" });
-                println!(
-                    "sip = {}",
-                    if ExecCfg::from_env().sip { "on" } else { "off" }
-                );
-            }
-            (Some("late_mat"), Some(v @ ("on" | "off")), _) => {
-                std::env::set_var(LATE_MAT_ENV, if v == "on" { "1" } else { "0" });
-                println!(
-                    "late_mat = {}",
-                    if ExecCfg::from_env().late_mat {
-                        "on"
-                    } else {
-                        "off"
-                    }
-                );
-            }
-            (Some("plan_cache"), Some(v @ ("on" | "off")), _) => {
-                self.plan_cache_on = v == "on";
-                println!("plan_cache = {v}");
-            }
-            (
-                Some(
-                    knob @ ("threads" | "conf_exact_limit" | "cost_opt" | "sip" | "late_mat"
-                    | "plan_cache"),
-                ),
-                raw,
-                _,
-            ) => {
-                return Err(match raw {
-                    Some(v) => format!("error: \\set {knob}: invalid value `{v}`; {VALID}\n"),
-                    None => format!("error: \\set {knob}: missing value; {VALID}\n"),
-                });
-            }
-            (Some(other), _, _) => {
+            (Some(other), _) => {
                 return Err(format!("error: \\set: unknown knob `{other}`; {VALID}\n"));
             }
-            (None, _, _) => return Err(format!("error: usage: \\set <knob> <value>; {VALID}\n")),
+            (None, _) => return Err(format!("error: usage: \\set <knob> <value>; {VALID}\n")),
         }
         Ok(())
     }
@@ -575,11 +433,11 @@ impl Session {
     /// meta-command): descriptor-pool occupancy with intern/conjoin hit
     /// rates, and the string dictionary size — the observability window
     /// into the columnar execution core. Before any query has run, the
-    /// session's knobs are still reported so the state stays inspectable.
+    /// session's knob is still reported so the state stays inspectable.
     fn stats(&self) {
         let Some(s) = &self.last_stats else {
             println!("no query executed yet");
-            self.print_cache_and_settings();
+            self.print_settings();
             return;
         };
         let p = s.pool;
@@ -641,30 +499,13 @@ impl Session {
             );
         }
         println!("  output:          {} rows", s.output_rows);
-        self.print_cache_and_settings();
+        self.print_settings();
     }
 
-    /// The `\stats` footer: plan-cache counters plus every session knob —
-    /// printed whether or not a query has run yet, so the session state is
-    /// always inspectable.
-    fn print_cache_and_settings(&self) {
-        println!(
-            "plan cache: {} hits, {} misses, {} entries",
-            self.plan_cache.hits(),
-            self.plan_cache.misses(),
-            self.plan_cache.len()
-        );
-        let exec = ExecCfg::from_env();
-        let on_off = |b: bool| if b { "on" } else { "off" };
-        println!(
-            "session settings: threads = {}, conf_exact_limit = {}, cost_opt = {}, sip = {}, late_mat = {}, plan_cache = {}",
-            self.threads,
-            conf_exact_limit_from_env(),
-            on_off(cost_opt_enabled()),
-            on_off(exec.sip),
-            on_off(exec.late_mat),
-            on_off(self.plan_cache_on)
-        );
+    /// The `\stats` footer: the session's knob, printed whether or not a
+    /// query has run yet.
+    fn print_settings(&self) {
+        println!("session settings: threads = {}", self.threads);
     }
 
     fn describe(&self) {
@@ -704,11 +545,11 @@ fn statement_complete(buffer: &str, last_line: &str) -> bool {
     }
 }
 
-/// The query's exact source slice — the plan cache's key text (the cache
-/// normalizes whitespace itself).
-fn query_text<'a>(query: &maybms::sql::Query, src: &'a str) -> &'a str {
-    let span = query.span();
-    &src[span.start.min(src.len())..span.end.min(src.len())]
+/// Lower and optimize one parsed query, rendering errors against the
+/// statement's source text.
+fn compile(catalog: &Catalog, query: &Query, src: &str) -> Result<Plan, String> {
+    let (plan, _) = lower(catalog, query).map_err(|e| e.render(src))?;
+    optimize_plan(catalog, &plan, query.span()).map_err(|e| e.render(src))
 }
 
 /// A statement's source collapsed to one echo line: comments dropped,
@@ -742,11 +583,6 @@ fn help() {
          \\trace on|off      trace subsequent queries\n  \
          \\trace last <file> export the last trace as Chrome trace JSON\n  \
          \\set threads <N>  worker-thread budget for query execution\n  \
-         \\set conf_exact_limit <N>  cost cutover for CONF(eps, delta); 0 forces sampling\n  \
-         \\set cost_opt on|off  cost-based join reordering (initially MAYBMS_COST_OPT)\n  \
-         \\set sip on|off  Bloom-filter sideways information passing (initially MAYBMS_SIP)\n  \
-         \\set late_mat on|off  late materialization in join pipelines (initially MAYBMS_LATE_MAT)\n  \
-         \\set plan_cache on|off  session LRU cache of optimized plans\n  \
          \\help    this help\n  \
          \\q       quit"
     );
