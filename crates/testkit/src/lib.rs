@@ -92,6 +92,9 @@ pub fn exec_cfgs() -> Vec<ExecCfg> {
     cfgs
 }
 
+/// A run's result with its post-run world set, or its error.
+pub type Outcome = Result<(URelation, WorldSet), MayError>;
+
 /// Run `plan` on a clone of `ws` under every configuration of
 /// [`exec_cfgs`] and return the baseline's result with its post-run world
 /// set. Panics, naming `context`, unless every configuration agrees byte
@@ -99,25 +102,34 @@ pub fn exec_cfgs() -> Vec<ExecCfg> {
 /// included), or the same error message. When the plan holds generated
 /// `conf(eps, delta)` nodes, its [`force_sampling`] variant is swept the
 /// same way and must succeed exactly when the plan does.
-pub fn run_every_cfg(
+pub fn run_every_cfg(ws: &WorldSet, plan: &Plan, context: &str) -> Outcome {
+    run_every_cfg_sampled(ws, plan, context).0
+}
+
+/// [`run_every_cfg`], also returning the baseline result of the plan's
+/// [`force_sampling`] variant (`None` when the plan holds no generated
+/// `conf(eps, delta)` node), so callers can put sampled output through
+/// the same assertions as exact output.
+pub fn run_every_cfg_sampled(
     ws: &WorldSet,
     plan: &Plan,
     context: &str,
-) -> Result<(URelation, WorldSet), MayError> {
+) -> (Outcome, Option<Outcome>) {
     let outcome = sweep(ws, plan, context);
-    if let Some(sampled) = force_sampling(plan) {
+    let sampled = force_sampling(plan).map(|sampled| {
         let sampled_outcome = sweep(ws, &sampled, &format!("{context} (sampled)"));
         assert_eq!(
             outcome.is_ok(),
             sampled_outcome.is_ok(),
             "{context}: forced sampling changed whether the plan runs\nplan:\n{plan}"
         );
-    }
-    outcome
+        sampled_outcome
+    });
+    (outcome, sampled)
 }
 
 /// The configuration sweep of [`run_every_cfg`] for one plan.
-fn sweep(ws: &WorldSet, plan: &Plan, context: &str) -> Result<(URelation, WorldSet), MayError> {
+fn sweep(ws: &WorldSet, plan: &Plan, context: &str) -> Outcome {
     let mut runs = exec_cfgs().into_iter().map(|cfg| {
         let mut ws = ws.clone();
         let outcome = run_with_exec(&mut ws, plan, &cfg).map(|r| (r, ws));

@@ -18,26 +18,43 @@
 //! *set* a u-relation denotes, not its row order. Component minting stays
 //! deterministic across the rewrite (repair-key inputs are never reordered
 //! in a way its internal canonical sort doesn't absorb), so descriptors
-//! are compared exactly, not merely isomorphically. Every plan runs under
-//! every execution configuration of the testkit sweep. A failing case
-//! prints its seed and both plan trees for exact replay.
+//! are compared exactly, not merely isomorphically. Every comparison covers
+//! sampled output too: each plan also runs with its generated
+//! `conf(eps, delta)` nodes forced to sample, and the sampled results of
+//! the two plans must agree as well. A failing case prints its seed and
+//! both plan trees for exact replay.
 
-use maybms_algebra::{infer_schema, optimize, optimize_with_stats, Plan};
+use maybms_algebra::{infer_schema, optimize, optimize_with_stats, run_with_exec, Plan};
 use maybms_core::rng::Rng;
 use maybms_core::{world_set_stats, URelation, WorldSet};
 use maybms_sql::{compile, compile_unoptimized, Catalog};
-use maybms_testkit::{gen_query, gen_uncertain_plan, gen_world_set, run_every_cfg, GenConfig};
+use maybms_testkit::{
+    exec_cfgs, force_sampling, gen_query, gen_uncertain_plan, gen_world_set, GenConfig,
+};
 
 /// ≥ 150 generated plans, per the optimizer issue's acceptance bar.
 const PLAN_CASES: usize = 160;
 /// Generated MayQL strings for the compile-path comparison.
 const QUERY_CASES: usize = 120;
 
-fn execute(ws: &WorldSet, plan: &Plan, context: &str) -> URelation {
-    let (mut result, _) =
-        run_every_cfg(ws, plan, context).unwrap_or_else(|e| panic!("{context}: {e}"));
-    result.dedup();
-    result
+/// Run `plan` once under the all-off single-threaded baseline of the
+/// testkit sweep, and once more with every generated `conf(eps, delta)`
+/// node forced to sample. Plan equivalence does not depend on the
+/// execution configuration (the oracle, SIP and parallel suites sweep
+/// that), but it must hold for sampled `conf` output too. Returns both
+/// results sorted and deduplicated; the sampled one is the exact one when
+/// the plan holds no such node.
+fn execute(ws: &WorldSet, plan: &Plan, context: &str) -> (URelation, URelation) {
+    let baseline = &exec_cfgs()[0];
+    let run = |plan: &Plan, label: &str| {
+        let mut result = run_with_exec(&mut ws.clone(), plan, baseline)
+            .unwrap_or_else(|e| panic!("{context}{label}: {e}"));
+        result.dedup();
+        result
+    };
+    let exact = run(plan, "");
+    let sampled = force_sampling(plan).map_or_else(|| exact.clone(), |p| run(&p, " (sampled)"));
+    (exact, sampled)
 }
 
 #[test]
@@ -119,7 +136,7 @@ fn certain_is_a_projection_barrier() {
     let a = execute(&ws, &plan, "certain barrier, original");
     let b = execute(&ws, &optimized, "certain barrier, optimized");
     assert_eq!(a, b, "optimized:\n{optimized}");
-    assert!(a.is_empty(), "no full tuple is certain here");
+    assert!(a.0.is_empty(), "no full tuple is certain here");
 }
 
 /// Regression: projection pruning above a *swapping* rename must keep both

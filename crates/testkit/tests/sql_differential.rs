@@ -16,7 +16,8 @@
 //! comparison runs each plan on its own clone of the world set: extension
 //! operators mint components deterministically, so equivalent plans produce
 //! identical descriptors, not merely isomorphic ones — under every
-//! execution configuration of the testkit sweep. A failing case prints its
+//! execution configuration of the testkit sweep, and again with generated
+//! `conf(eps, delta)` nodes forced to sample. A failing case prints its
 //! seed (and query text) for exact replay.
 
 use maybms_algebra::Plan;
@@ -24,19 +25,28 @@ use maybms_core::rng::Rng;
 use maybms_core::{URelation, WorldSet};
 use maybms_sql::{compile, compile_unoptimized, to_mayql, Catalog};
 use maybms_testkit::{
-    gen_plan, gen_query, gen_world_set, run_every_cfg, wrap_uncertainty, GenConfig,
+    gen_plan, gen_query, gen_world_set, run_every_cfg_sampled, wrap_uncertainty, GenConfig, Outcome,
 };
 
 /// ≥ 100 cases each, per the acceptance bar of the MayQL front-end issue.
 const CASES: usize = 120;
 
-fn execute(ws: &WorldSet, plan: &Plan, context: &str) -> URelation {
-    let (mut result, _) =
-        run_every_cfg(ws, plan, context).unwrap_or_else(|e| panic!("{context}: {e}"));
+/// Run `plan` under every execution configuration of the testkit sweep
+/// and return its result together with that of its forced-sampling
+/// variant (the exact result when the plan holds no generated
+/// `conf(eps, delta)` node), so every comparison covers sampled output.
+fn execute(ws: &WorldSet, plan: &Plan, context: &str) -> (URelation, URelation) {
+    let (exact, sampled) = run_every_cfg_sampled(ws, plan, context);
     // Sort-and-dedup so the comparison is order-insensitive (evaluation is
     // deterministic, but equivalence shouldn't depend on that).
-    result.dedup();
-    result
+    let dedup = |outcome: Outcome| {
+        let (mut result, _) = outcome.unwrap_or_else(|e| panic!("{context}: {e}"));
+        result.dedup();
+        result
+    };
+    let exact = dedup(exact);
+    let sampled = sampled.map_or_else(|| exact.clone(), dedup);
+    (exact, sampled)
 }
 
 #[test]
